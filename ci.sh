@@ -32,8 +32,10 @@ fi
 cargo build --release
 # Debug-profile tests run with the verbs-contract validator in Panic mode
 # (rsj-rdma's default `verify` feature), so this is the validator-enabled
-# pass: any RDMA protocol misuse aborts the suite.
-cargo test -q
+# pass: any RDMA protocol misuse aborts the suite. `--workspace`: the root
+# manifest is also the `rsj` facade package, so a bare `cargo test` would
+# test only the facade and skip every crate's own suite.
+cargo test --workspace -q
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 # Project rules (token-level analysis: determinism hazards, barrier

@@ -6,6 +6,7 @@
 //!
 //! ids: fig3 fig5a fig5b fig6a fig6b fig7a fig7b fig8 fig8ws fig9a fig9b
 //!      fig10a fig10b wide hardware optimal buffers operators materialize all
+//!      (the `sweep::UNITS` table, plus the `sweep::ALIASES` names)
 //! --scale N    divide the paper's tuple counts by N (default 256)
 //! --jobs J     run `all` through the parallel sweep engine with J worker
 //!              threads (default 1). Output is stitched in experiment
@@ -14,7 +15,7 @@
 //!              units (canonical order; the CI smoke lane's knob)
 //! ```
 
-use rsj_bench::{experiments, sweep, Scale, DEFAULT_SCALE};
+use rsj_bench::{sweep, Scale, DEFAULT_SCALE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,54 +59,40 @@ fn main() {
         i += 1;
     }
     let id = id.unwrap_or_else(|| die("missing experiment id (try: all)"));
+    // Resolve a single id before any output, so a bad one prints only
+    // the usage.
+    let unit = (id != "all")
+        .then(|| sweep::lookup(&id).unwrap_or_else(|| die(&format!("unknown experiment '{id}'"))));
+    if unit.is_some() && (subset.is_some() || jobs != 1) {
+        die("--jobs/--subset only apply to the `all` sweep");
+    }
     let scale = Scale::new(scale);
     println!(
         "# experiment {id} at scale 1/{} (times reported in paper-equivalent seconds)",
         scale.factor
     );
 
-    if id == "all" {
-        let units: Vec<usize> = match subset.as_deref() {
-            Some(list) => sweep::resolve_subset(list).unwrap_or_else(|e| die(&e)),
-            None => (0..sweep::UNITS.len()).collect(),
-        };
-        sweep::run_sweep(&units, scale, jobs);
-        return;
-    }
-    if subset.is_some() || jobs != 1 {
-        die("--jobs/--subset only apply to the `all` sweep");
-    }
-
-    match id.as_str() {
-        "fig3" => experiments::fig3(scale),
-        "fig5a" => experiments::fig5a(scale),
-        "fig5b" => experiments::fig5b(scale),
-        "fig6a" => experiments::fig6a(scale),
-        "fig6b" => experiments::fig6b(scale),
-        "fig7a" => experiments::fig7a(scale),
-        "fig7b" => experiments::fig7b(scale),
-        "fig8" => experiments::fig8(scale),
-        "fig8ws" => experiments::fig8_work_sharing(scale),
-        "fig9a" => experiments::fig9(scale, true),
-        "fig9b" => experiments::fig9(scale, false),
-        "fig10a" => experiments::fig10(scale, false),
-        "fig10b" => experiments::fig10(scale, true),
-        "wide" | "sec6.7" => experiments::wide_tuples(scale),
-        "hardware" | "tab2" => experiments::hardware(scale),
-        "optimal" | "model-opt" => experiments::optimal(scale),
-        "buffers" | "ext-buffers" => experiments::buffer_size_sweep(scale),
-        "operators" | "ext-operators" => experiments::operators(scale),
-        "materialize" | "ext-materialize" => experiments::materialization(scale),
-        other => die(&format!("unknown experiment '{other}'")),
+    match unit {
+        Some(unit) => (sweep::UNITS[unit].run)(scale),
+        None => {
+            let units: Vec<usize> = match subset.as_deref() {
+                Some(list) => sweep::resolve_subset(list).unwrap_or_else(|e| die(&e)),
+                None => (0..sweep::UNITS.len()).collect(),
+            };
+            sweep::run_sweep(&units, scale, jobs);
+        }
     }
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: experiments <id> [--scale N] [--jobs J] [--subset ids]");
-    eprintln!(
-        "ids: fig3 fig5a fig5b fig6a fig6b fig7a fig7b fig8 fig9a fig9b \
-         fig8ws fig10a fig10b wide hardware optimal buffers operators materialize all"
-    );
+    let ids: Vec<&str> = sweep::UNITS.iter().map(|u| u.id).collect();
+    eprintln!("ids: {} all", ids.join(" "));
+    let aliases: Vec<String> = sweep::ALIASES
+        .iter()
+        .map(|(alias, unit)| format!("{alias}={unit}"))
+        .collect();
+    eprintln!("aliases: {}", aliases.join(" "));
     std::process::exit(2)
 }

@@ -49,9 +49,8 @@ use serde::{Serialize, Value};
 
 /// The validator-overhead satellite's acceptance bound: `Record`-mode
 /// verbs checking must cost less than this fraction of `Off`-mode wall
-/// time on the mid-size join (DESIGN.md §6). Full runs fail hard on a
-/// breach; `--short` CI runs only warn, because two small min-of-N
-/// samples on a loaded container are too noisy to gate on.
+/// time on the mid-size join (DESIGN.md §6), enforced by
+/// [`OverheadCheck::enforce`].
 const VALIDATOR_OVERHEAD_BOUND: f64 = 0.10;
 
 /// The fault-plane satellite's acceptance bound (DESIGN.md §8): arming
@@ -62,6 +61,50 @@ const VALIDATOR_OVERHEAD_BOUND: f64 = 0.10;
 /// checks compile to a handful of plain branches), and its wall time is
 /// tracked in the trajectory alongside `join/mid-cluster`.
 const FAULT_PLANE_OVERHEAD_BOUND: f64 = 0.02;
+
+/// How one on/off wall-clock pair is reported (`{label} … -> {pct}%
+/// {noun} (bound …)`) and held to `bound`, the largest allowed
+/// `on / off - 1` (breach: `{subject} costs {pct}% of {workload}, …`).
+struct OverheadCheck {
+    label: &'static str,
+    noun: &'static str,
+    subject: &'static str,
+    workload: &'static str,
+    bound: f64,
+}
+
+impl OverheadCheck {
+    /// Print the pair's overhead and enforce the bound: a breach panics
+    /// in full runs and only warns in `--short` mode, where two min-of-N
+    /// wall-clock samples on a loaded CI container are noisy enough to
+    /// cross the bound spuriously.
+    fn enforce(&self, on: &BenchRecord, off: &BenchRecord, short: bool) {
+        let overhead = on.wall_ms / off.wall_ms - 1.0;
+        println!(
+            "{} {:.0} ms vs off {:.0} ms -> {:+.1}% {} (bound {:.0}%)",
+            self.label,
+            on.wall_ms,
+            off.wall_ms,
+            overhead * 100.0,
+            self.noun,
+            self.bound * 100.0
+        );
+        if overhead >= self.bound {
+            let msg = format!(
+                "{} costs {:.1}% of {}, over the {:.0}% budget",
+                self.subject,
+                overhead * 100.0,
+                self.workload,
+                self.bound * 100.0
+            );
+            if short {
+                eprintln!("warning: {msg} (not enforced in --short mode)");
+            } else {
+                panic!("{msg}");
+            }
+        }
+    }
+}
 
 /// Trajectory schema tag; `--check` rejects anything else.
 const SCHEMA: &str = "rsj-bench-perf/v1";
@@ -100,52 +143,25 @@ fn main() {
         benches.push(bench_bucket_table(it.hash_tuples));
         benches.push(bench_mid_join(it.join_scale));
         let (rec, off) = bench_validator_overhead(it.join_scale, it.validator_reps);
-        let overhead = rec.wall_ms / off.wall_ms - 1.0;
-        println!(
-            "validator: record {:.0} ms vs off {:.0} ms -> {:+.1}% overhead (bound {:.0}%)",
-            rec.wall_ms,
-            off.wall_ms,
-            overhead * 100.0,
-            VALIDATOR_OVERHEAD_BOUND * 100.0
-        );
-        if overhead >= VALIDATOR_OVERHEAD_BOUND {
-            // Short mode runs on loaded CI containers where two min-of-N
-            // wall-clock samples are noisy enough to cross the bound
-            // spuriously; warn there, enforce only in full runs.
-            let msg = format!(
-                "verbs-contract validator costs {:.1}% of the mid-size join, over the {:.0}% budget",
-                overhead * 100.0,
-                VALIDATOR_OVERHEAD_BOUND * 100.0
-            );
-            if opts.short {
-                eprintln!("warning: {msg} (not enforced in --short mode)");
-            } else {
-                panic!("{msg}");
-            }
+        OverheadCheck {
+            label: "validator: record",
+            noun: "overhead",
+            subject: "verbs-contract validator",
+            workload: "the mid-size join",
+            bound: VALIDATOR_OVERHEAD_BOUND,
         }
+        .enforce(&rec, &off, opts.short);
         benches.push(rec);
         benches.push(off);
         let (bare, armed) = bench_faultplane_overhead(it.join_scale, it.validator_reps);
-        let overhead = armed.wall_ms / bare.wall_ms - 1.0;
-        println!(
-            "fault plane: armed {:.0} ms vs off {:.0} ms -> {:+.1}% overhead (bound {:.0}%)",
-            armed.wall_ms,
-            bare.wall_ms,
-            overhead * 100.0,
-            FAULT_PLANE_OVERHEAD_BOUND * 100.0
-        );
-        if overhead >= FAULT_PLANE_OVERHEAD_BOUND {
-            let msg = format!(
-                "armed fault plane costs {:.1}% of the mid-size join, over the {:.0}% budget",
-                overhead * 100.0,
-                FAULT_PLANE_OVERHEAD_BOUND * 100.0
-            );
-            if opts.short {
-                eprintln!("warning: {msg} (not enforced in --short mode)");
-            } else {
-                panic!("{msg}");
-            }
+        OverheadCheck {
+            label: "fault plane: armed",
+            noun: "overhead",
+            subject: "armed fault plane",
+            workload: "the mid-size join",
+            bound: FAULT_PLANE_OVERHEAD_BOUND,
         }
+        .enforce(&armed, &bare, opts.short);
         benches.push(bare);
         benches.push(armed);
         let (serial, contended) = bench_service_pair(it.service_queries, 10, 2);
@@ -161,26 +177,14 @@ fn main() {
         benches.push(serial);
         benches.push(contended);
         let (hoff, harmed) = bench_healing_pair(it.service_queries, 10, 2, it.validator_reps);
-        let overhead = harmed.wall_ms / hoff.wall_ms - 1.0;
-        println!(
-            "healing: armed {:.0} ms vs off {:.0} ms -> {:+.1}% idle overhead (bound {:.0}%)",
-            harmed.wall_ms,
-            hoff.wall_ms,
-            overhead * 100.0,
-            FAULT_PLANE_OVERHEAD_BOUND * 100.0
-        );
-        if overhead >= FAULT_PLANE_OVERHEAD_BOUND {
-            let msg = format!(
-                "armed-idle healing costs {:.1}% of the stress batch, over the {:.0}% budget",
-                overhead * 100.0,
-                FAULT_PLANE_OVERHEAD_BOUND * 100.0
-            );
-            if opts.short {
-                eprintln!("warning: {msg} (not enforced in --short mode)");
-            } else {
-                panic!("{msg}");
-            }
+        OverheadCheck {
+            label: "healing: armed",
+            noun: "idle overhead",
+            subject: "armed-idle healing",
+            workload: "the stress batch",
+            bound: FAULT_PLANE_OVERHEAD_BOUND,
         }
+        .enforce(&harmed, &hoff, opts.short);
         benches.push(hoff);
         benches.push(harmed);
         let (two, one) = bench_transport_pair(it.join_scale);

@@ -69,22 +69,6 @@ pub struct SweepUnit {
     pub run: fn(Scale),
 }
 
-fn fig9a(scale: Scale) {
-    experiments::fig9(scale, true);
-}
-
-fn fig9b(scale: Scale) {
-    experiments::fig9(scale, false);
-}
-
-fn fig10a(scale: Scale) {
-    experiments::fig10(scale, false);
-}
-
-fn fig10b(scale: Scale) {
-    experiments::fig10(scale, true);
-}
-
 /// Every unit of `experiments all`, in report order. The stitched sweep
 /// output is the concatenation of these units' captures in table order.
 pub const UNITS: &[SweepUnit] = &[
@@ -126,19 +110,19 @@ pub const UNITS: &[SweepUnit] = &[
     },
     SweepUnit {
         id: "fig9a",
-        run: fig9a,
+        run: |scale| experiments::fig9(scale, true),
     },
     SweepUnit {
         id: "fig9b",
-        run: fig9b,
+        run: |scale| experiments::fig9(scale, false),
     },
     SweepUnit {
         id: "fig10a",
-        run: fig10a,
+        run: |scale| experiments::fig10(scale, false),
     },
     SweepUnit {
         id: "fig10b",
-        run: fig10b,
+        run: |scale| experiments::fig10(scale, true),
     },
     SweepUnit {
         id: "wide",
@@ -165,6 +149,26 @@ pub const UNITS: &[SweepUnit] = &[
         run: experiments::materialization,
     },
 ];
+
+/// Alternative names the `experiments` binary accepts for single units,
+/// as `(alias, unit id)` pairs.
+pub const ALIASES: &[(&str, &str)] = &[
+    ("sec6.7", "wide"),
+    ("tab2", "hardware"),
+    ("model-opt", "optimal"),
+    ("ext-buffers", "buffers"),
+    ("ext-operators", "operators"),
+    ("ext-materialize", "materialize"),
+];
+
+/// Resolve one experiment id or alias to its index in [`UNITS`].
+pub fn lookup(id: &str) -> Option<usize> {
+    let id = ALIASES
+        .iter()
+        .find(|(alias, _)| *alias == id)
+        .map_or(id, |(_, unit)| unit);
+    UNITS.iter().position(|u| u.id == id)
+}
 
 /// Resolve a comma-separated subset list (`"fig3,hardware"`) to unit
 /// indices, preserving the canonical `all` order rather than the list
@@ -251,6 +255,18 @@ mod tests {
         let ids: Vec<&str> = UNITS.iter().map(|u| u.id).collect();
         assert_eq!(ids[0], "fig3");
         assert_eq!(ids[18], "materialize");
+    }
+
+    #[test]
+    fn lookup_resolves_ids_and_aliases_only() {
+        assert_eq!(lookup("fig7a").map(|u| UNITS[u].id), Some("fig7a"));
+        assert_eq!(lookup("tab2").map(|u| UNITS[u].id), Some("hardware"));
+        assert_eq!(lookup("nonsense"), None);
+        // `all` is the sweep, not a unit.
+        assert_eq!(lookup("all"), None);
+        for (alias, unit) in ALIASES {
+            assert_eq!(lookup(alias).map(|u| UNITS[u].id), Some(*unit));
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`PhaseTimes`] — the per-phase breakdown every experiment reports;
 //! * [`runtime`] — the shared phase runtime every distributed operator
 //!   runs on: fabric + per-core simulated threads + cluster barrier with
-//!   structured phase bookkeeping ([`runtime::PhaseEvent`]);
+//!   structured phase bookkeeping ([`runtime::PhaseEvent`]), and
+//!   [`run_direct`], which runs one [`QueryJob`] alone on its own fabric;
 //! * [`wire`] — the unified 32-bit wire-tag codec shared by the join and
 //!   the §7 operators.
 
@@ -31,7 +32,7 @@ pub use cost::CostModel;
 pub use error::JoinError;
 pub use meter::{default_settle_mode, Meter, SettleMode};
 pub use phases::PhaseTimes;
-pub use runtime::{run_cluster, try_run_cluster, ClusterRun, PhaseEvent, Runtime};
+pub use runtime::{run_direct, ClusterRun, PhaseEvent, Runtime};
 pub use service::{
     HealingConfig, HostReport, JoinRequest, QueryJob, QueryReport, QueryService, RejectReason,
     ServiceConfig, ServiceReport,

@@ -6,7 +6,7 @@
 //! query can reach, and in the bookkeeping, because every recorded
 //! [`crate::PhaseEvent`] carries its query id. Operators outside
 //! `crates/cluster` must use these constants (or their own module-level
-//! constants) instead of raw string literals at `sync_named` call sites,
+//! constants) instead of raw string literals at `try_sync_named` call sites,
 //! so two operators can never collide on an ad-hoc barrier name across
 //! concurrent queries; the workspace lint `barrier-name` enforces this.
 

@@ -7,11 +7,15 @@
 //! algorithm phases separated by cluster-wide barriers. This module owns
 //! that skeleton so each operator stays focused on its algorithm:
 //!
-//! * [`Runtime::sync_named`] ends a phase: it records, per machine, when
-//!   that machine's slowest core arrived ([`PhaseEvent`]), and the global
-//!   barrier-release time (a *mark*);
+//! * [`Runtime::try_sync_named`] ends a phase: it records, per machine,
+//!   when that machine's slowest core arrived ([`PhaseEvent`]), and the
+//!   global barrier-release time (a *mark*);
 //! * [`PhaseTimes::from_events`] folds the named events of the main join
-//!   back into the per-phase breakdown every experiment reports.
+//!   back into the per-phase breakdown every experiment reports;
+//! * [`Runtime::spawn_workers`] is the one way workers start, watched and
+//!   reported: [`run_direct`] runs a [`QueryJob`] alone on a fresh root
+//!   fabric through it, and the [`crate::QueryService`] admits queries
+//!   into a running simulation through it.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -19,12 +23,14 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rsj_rdma::{
     BufferPool, Fabric, FabricConfig, FaultPlan, HostId, NicCosts, PoolArena, QueryId, Spawner,
+    ValidateMode,
 };
-use rsj_sim::{SimBarrier, SimCtx, SimDuration, SimEvent, SimSemaphore, SimTime, Simulation};
+use rsj_sim::{SimBarrier, SimCtx, SimDuration, SimSemaphore, SimTime, Simulation};
 
 use crate::error::JoinError;
 use crate::phase;
 use crate::phases::PhaseTimes;
+use crate::service::QueryJob;
 
 /// Watchdog poll interval (virtual time).
 const WATCHDOG_TICK: SimDuration = SimDuration::from_millis(10);
@@ -40,7 +46,7 @@ pub struct PhaseEvent {
     /// The query this phase belongs to ([`QueryId::DIRECT`] outside a
     /// service). Together with `name` this is the namespaced barrier key.
     pub query: QueryId,
-    /// Phase name, as passed to [`Runtime::sync_named`].
+    /// Phase name, as passed to [`Runtime::try_sync_named`].
     pub name: &'static str,
     /// Machine index (logical, within the query's placement).
     pub machine: usize,
@@ -102,10 +108,11 @@ pub struct Runtime {
     poison_semaphores: Mutex<Vec<Arc<SimSemaphore>>>,
 }
 
-/// What a finished [`Runtime::run`] reports.
+/// What a finished run reports.
 pub struct ClusterRun {
-    /// Global phase boundaries (barrier-release times), starting with
-    /// t = 0; one extra entry per [`Runtime::sync`]/[`Runtime::sync_named`].
+    /// Global phase boundaries (barrier-release times), starting with the
+    /// run's start (t = 0 on the direct path, admission time under a
+    /// service); one extra entry per [`Runtime::try_sync_named`].
     pub marks: Vec<SimTime>,
     /// Per-machine records of every *named* phase, in phase order.
     pub events: Vec<PhaseEvent>,
@@ -113,20 +120,9 @@ pub struct ClusterRun {
 
 impl Runtime {
     /// Build the runtime for a `machines × cores` cluster over a fresh
-    /// fabric. Workers are spawned by [`Runtime::run`].
-    pub fn new(
-        machines: usize,
-        cores: usize,
-        fabric_cfg: FabricConfig,
-        nic: NicCosts,
-    ) -> Arc<Runtime> {
-        Runtime::new_with_plan(machines, cores, fabric_cfg, nic, None)
-    }
-
-    /// Like [`Runtime::new`], but optionally arms the fabric's
-    /// deterministic fault plane with `plan`. With `None` the runtime is
-    /// event-for-event identical to [`Runtime::new`].
-    pub fn new_with_plan(
+    /// root fabric, optionally arming its deterministic fault plane with
+    /// `plan`. This is the direct path ([`run_direct`]).
+    fn root(
         machines: usize,
         cores: usize,
         fabric_cfg: FabricConfig,
@@ -148,8 +144,7 @@ impl Runtime {
     /// query's workers run on the logical machines named by `placement`
     /// (distinct physical hosts of `root`), all fabric traffic is tagged
     /// with `query`, and pools come out of the per-host `arenas`. This is
-    /// the query-service path; workers are spawned into an already-running
-    /// simulation with [`Runtime::spawn_workers`].
+    /// the query-service path.
     pub fn for_query(
         query: QueryId,
         root: &Arc<Fabric>,
@@ -241,15 +236,10 @@ impl Runtime {
     }
 
     /// End a named phase: cluster-wide barrier, recording one
-    /// [`PhaseEvent`] per machine plus a global mark. Returns `true` on
-    /// exactly one core (the leader).
-    pub fn sync_named(&self, ctx: &SimCtx, name: &'static str, machine: usize) -> bool {
-        self.try_sync_named(ctx, name, machine).unwrap_or(false)
-    }
-
-    /// Failure-aware [`Runtime::sync_named`]: returns a [`JoinError`]
-    /// instead of blocking forever when the run was aborted while this
-    /// worker waited at the barrier.
+    /// [`PhaseEvent`] per machine plus a global mark. Returns `Ok(true)`
+    /// on exactly one core (the leader), and a [`JoinError`] instead of
+    /// blocking forever when the run was aborted while this worker waited
+    /// at the barrier.
     pub fn try_sync_named(
         &self,
         ctx: &SimCtx,
@@ -286,39 +276,9 @@ impl Runtime {
         Ok(leader)
     }
 
-    /// End an anonymous phase: cluster-wide barrier plus a global mark,
-    /// without per-machine events. Returns `true` on the leader.
-    pub fn sync(&self, ctx: &SimCtx) -> bool {
-        self.try_sync(ctx, 0).unwrap_or(false)
-    }
-
-    /// Failure-aware [`Runtime::sync`]; `machine` attributes the arrival
-    /// for straggler detection.
-    pub fn try_sync(&self, ctx: &SimCtx, machine: usize) -> Result<bool, JoinError> {
-        self.arrivals[machine].fetch_add(1, Ordering::Relaxed);
-        let leader = match self.barrier.wait_checked(ctx) {
-            Ok(leader) => leader,
-            Err(_) => return Err(self.abort_error(*self.phase_label.lock())),
-        };
-        if leader {
-            let mut st = self.state.lock();
-            let now = ctx.now();
-            st.marks.push(now);
-            // A mark is also a phase boundary for event bookkeeping.
-            st.pending.fill(SimTime::ZERO);
-        }
-        Ok(leader)
-    }
-
-    /// Cluster-wide barrier without any bookkeeping. Returns `false`
-    /// (non-leader) if the run was aborted.
-    pub fn sync_quiet(&self, ctx: &SimCtx) -> bool {
-        self.barrier.wait_checked(ctx).unwrap_or(false)
-    }
-
-    /// Failure-aware [`Runtime::sync_quiet`]: no marks or events are
-    /// recorded, but a poisoned barrier surfaces as
-    /// [`JoinError::Aborted`] instead of a silent non-leader return.
+    /// Cluster-wide barrier without any bookkeeping: no marks or events
+    /// are recorded, but a poisoned barrier surfaces as
+    /// [`JoinError::Aborted`].
     pub fn try_sync_quiet(&self, ctx: &SimCtx) -> Result<bool, JoinError> {
         self.barrier
             .wait_checked(ctx)
@@ -406,113 +366,51 @@ impl Runtime {
             .collect()
     }
 
-    /// Run `worker(ctx, runtime, machine, core)` on every simulated core,
-    /// shutting the fabric down after the last worker finishes. Returns
-    /// the recorded marks and events. Panics if the run aborts (use
-    /// [`Runtime::try_run`] for fallible workers).
-    pub fn run<F>(self: &Arc<Self>, worker: F) -> ClusterRun
-    where
-        F: Fn(&SimCtx, &Runtime, usize, usize) + Send + Sync + 'static,
-    {
-        self.try_run(move |ctx, rt, mach, core| {
-            worker(ctx, rt, mach, core);
-            Ok(())
-        })
-        .unwrap_or_else(|e| panic!("cluster run failed: {e}"))
-    }
-
-    /// Run a fallible `worker` on every simulated core. A worker's `Err`
-    /// aborts the whole run ([`Runtime::fail`]); the first error becomes
-    /// the result. When a fault plan is installed, a watchdog task guards
-    /// against hangs: a full window of zero cluster-wide progress aborts
-    /// the run with [`JoinError::BarrierTimeout`] naming the stragglers.
-    pub fn try_run<F>(self: &Arc<Self>, worker: F) -> Result<ClusterRun, JoinError>
+    /// Run a fallible `worker` on every core of this root runtime in a
+    /// fresh simulation, through [`Runtime::spawn_workers`]. The last
+    /// worker out of a successful run stops the fabric engines; once the
+    /// simulation has quiesced, the verbs-contract end state (undrained
+    /// completions, unreposted receive slots, leaked pool buffers) is
+    /// audited before the marks and events are returned.
+    fn try_run<F>(self: &Arc<Self>, worker: F) -> Result<ClusterRun, JoinError>
     where
         F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
     {
-        let worker = Arc::new(worker);
         let sim = Simulation::new();
         self.fabric.launch(&sim);
-        let live = Arc::new(AtomicUsize::new(self.machines * self.cores));
-        let all_exited = SimEvent::new();
-        for mach in 0..self.machines {
-            for core in 0..self.cores {
-                let rt = Arc::clone(self);
-                let worker = Arc::clone(&worker);
-                let live = Arc::clone(&live);
-                let all_exited = Arc::clone(&all_exited);
-                sim.spawn(format!("m{mach}-c{core}"), move |ctx| {
-                    if let Err(e) = worker(ctx, &rt, mach, core) {
-                        rt.fail(ctx, e);
-                    }
-                    // The last worker through the final barrier stops the
-                    // fabric engines. On an aborted run the barrier is
-                    // poisoned and the fabric already flushed.
-                    if rt.sync_quiet(ctx) {
-                        rt.fabric.shutdown(ctx);
-                    }
-                    if live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        all_exited.set(ctx);
-                    }
-                });
+        let outcome = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&outcome);
+        let fabric = Arc::clone(&self.fabric);
+        self.spawn_workers(&sim, worker, move |ctx, result| {
+            // On an aborted run the fabric already flushed.
+            if result.is_ok() {
+                fabric.shutdown(ctx);
             }
-        }
-        // With a fault plan armed, a hang is a bug the suite must surface:
-        // watch cluster-wide progress and abort after a full idle window.
-        // (Never spawned on fault-free runs, so their event schedule is
-        // untouched.)
-        if self.fabric.has_fault_plan() {
-            let rt = Arc::clone(self);
-            let all_exited = Arc::clone(&all_exited);
-            sim.spawn("watchdog", move |ctx| {
-                let mut last = u64::MAX;
-                let mut idle = 0u32;
-                while !all_exited.is_set() {
-                    ctx.sleep_until(ctx.now() + WATCHDOG_TICK);
-                    let progress = rt.progress_snapshot();
-                    if progress != last {
-                        last = progress;
-                        idle = 0;
-                        continue;
-                    }
-                    idle += 1;
-                    if idle >= WATCHDOG_IDLE_TICKS {
-                        let err = JoinError::BarrierTimeout {
-                            query: rt.query,
-                            phase: *rt.phase_label.lock(),
-                            stragglers: rt.stragglers(),
-                        };
-                        rt.fail(ctx, err);
-                        break;
-                    }
-                }
-            });
-        }
+            *slot.lock() = Some(result);
+        });
         sim.run();
-        if let Some(err) = self.failure() {
-            return Err(err);
-        }
-        // The simulation has quiesced: audit the verbs-contract end state
-        // (undrained completions, unreposted receive slots, leaked pool
-        // buffers) before reporting results.
+        let run = outcome
+            .lock()
+            .take()
+            .expect("the last worker out reports the outcome")?;
         self.fabric.validator().check_teardown();
-        let st = self.state.lock();
-        Ok(ClusterRun {
-            marks: st.marks.clone(),
-            events: st.events.clone(),
-        })
+        Ok(run)
     }
 
-    /// Spawn this query-scoped runtime's workers into an *already running*
-    /// simulation — the query-service execution path. Unlike
-    /// [`Runtime::try_run`] the runtime does not own the simulation:
-    /// workers run concurrently with other queries' workers over the
-    /// shared fabric. The last worker out retires the query's fabric view
-    /// (lanes unregister, per-query teardown audit runs) and invokes
-    /// `done` exactly once with the query's outcome. When a fault plan is
-    /// armed, a per-query watchdog guards against hangs using the query's
-    /// *own* lane activity, so one query's stall is never masked by
-    /// another query's traffic.
+    /// Spawn `worker(ctx, runtime, machine, core)` on every simulated
+    /// core through `spawner`: into a fresh simulation on the direct path
+    /// ([`run_direct`]), or into the running simulation of a query
+    /// service, where workers run concurrently with other queries' over
+    /// the shared fabric. A worker's `Err` aborts the whole run
+    /// ([`Runtime::fail`]); the first error becomes the outcome. After a
+    /// closing barrier, the last worker out invokes `done` exactly once
+    /// with the outcome. When a fault plan is armed, a watchdog task
+    /// guards against hangs using this runtime's *own* progress (a query
+    /// view counts only its own lanes, so one query's stall is never
+    /// masked by another query's traffic): a full window of zero progress
+    /// aborts the run with [`JoinError::BarrierTimeout`] naming the
+    /// stragglers. Fault-free runs never spawn it, so their event schedule
+    /// is untouched.
     pub fn spawn_workers<F, D>(self: &Arc<Self>, spawner: &impl Spawner, worker: F, done: D)
     where
         F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
@@ -532,10 +430,12 @@ impl Runtime {
                     if let Err(e) = worker(ctx, &rt, mach, core) {
                         rt.fail(ctx, e);
                     }
-                    let _ = rt.sync_quiet(ctx);
+                    // A poisoned closing barrier means the run already
+                    // failed; that recorded failure is the outcome.
+                    if rt.barrier.wait_checked(ctx).is_err() {
+                        debug_assert!(rt.failed());
+                    }
                     if live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        rt.fabric.close_view(ctx);
-                        rt.fabric.validator().check_query_teardown(rt.query);
                         let result = match rt.failure() {
                             Some(err) => Err(err),
                             None => {
@@ -583,36 +483,31 @@ impl Runtime {
     }
 }
 
-/// Convenience wrapper: build a [`Runtime`] and run `worker` on every core
-/// of a `machines × cores` cluster. Returns the phase bookkeeping.
-pub fn run_cluster<F>(
-    machines: usize,
-    cores: usize,
-    fabric_cfg: FabricConfig,
-    nic: NicCosts,
-    worker: F,
-) -> ClusterRun
-where
-    F: Fn(&SimCtx, &Runtime, usize, usize) + Send + Sync + 'static,
-{
-    Runtime::new(machines, cores, fabric_cfg, nic).run(worker)
-}
-
-/// Fallible variant of [`run_cluster`], with an optional fault plan: the
-/// first worker error (or watchdog timeout) aborts the run and is
-/// returned as a structured [`JoinError`].
-pub fn try_run_cluster<F>(
-    machines: usize,
-    cores: usize,
+/// Run `job` alone on a fresh root fabric — the direct path behind every
+/// operator's `try_run_*` entry point. The fabric is built from
+/// `fabric_cfg` and `nic`, armed with `plan` when one is given, and its
+/// validator switched to `validate` when set (`None` keeps the build
+/// default). The job is attached, its workers run through
+/// [`Runtime::spawn_workers`] exactly as under a query service, and a
+/// successful run is [`QueryJob::finish`]ed before its marks and events
+/// are returned. The first worker error, or a watchdog timeout, is
+/// returned as a structured [`JoinError`] instead.
+pub fn run_direct<J: QueryJob + 'static>(
+    job: &Arc<J>,
     fabric_cfg: FabricConfig,
     nic: NicCosts,
     plan: Option<FaultPlan>,
-    worker: F,
-) -> Result<ClusterRun, JoinError>
-where
-    F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
-{
-    Runtime::new_with_plan(machines, cores, fabric_cfg, nic, plan).try_run(worker)
+    validate: Option<ValidateMode>,
+) -> Result<ClusterRun, JoinError> {
+    let rt = Runtime::root(job.machines(), job.cores(), fabric_cfg, nic, plan);
+    if let Some(mode) = validate {
+        rt.fabric.validator().set_mode(mode);
+    }
+    job.attach(&rt);
+    let worker_job = Arc::clone(job);
+    let run = rt.try_run(move |ctx, rt, mach, core| worker_job.run_worker(ctx, rt, mach, core))?;
+    job.finish(&rt, &run);
+    Ok(run)
 }
 
 impl PhaseTimes {
@@ -648,20 +543,25 @@ mod tests {
     use super::*;
     use rsj_sim::SimDuration;
 
+    /// Run `worker` on a fault-free `machines × cores` root runtime.
+    fn run<F>(machines: usize, cores: usize, fabric_cfg: FabricConfig, worker: F) -> ClusterRun
+    where
+        F: Fn(&SimCtx, &Runtime, usize, usize) -> Result<(), JoinError> + Send + Sync + 'static,
+    {
+        Runtime::root(machines, cores, fabric_cfg, NicCosts::default(), None)
+            .try_run(worker)
+            .expect("fault-free run completes")
+    }
+
     #[test]
     fn marks_record_phase_boundaries() {
-        let run = run_cluster(
-            2,
-            2,
-            FabricConfig::fdr(),
-            NicCosts::default(),
-            |ctx, rt, mach, core| {
-                ctx.advance(SimDuration::from_millis(1 + (mach * 2 + core) as u64));
-                rt.sync(ctx);
-                ctx.advance(SimDuration::from_millis(2));
-                rt.sync(ctx);
-            },
-        );
+        let run = run(2, 2, FabricConfig::fdr(), |ctx, rt, mach, core| {
+            ctx.advance(SimDuration::from_millis(1 + (mach * 2 + core) as u64));
+            rt.try_sync_named(ctx, "alpha", mach)?;
+            ctx.advance(SimDuration::from_millis(2));
+            rt.try_sync_named(ctx, "beta", mach)?;
+            Ok(())
+        });
         assert_eq!(run.marks.len(), 3);
         assert_eq!(run.marks[1].as_nanos(), 4_000_000); // slowest of phase 1
         assert_eq!(run.marks[2].as_nanos(), 6_000_000);
@@ -669,21 +569,16 @@ mod tests {
 
     #[test]
     fn named_sync_records_per_machine_events() {
-        let run = run_cluster(
-            3,
-            2,
-            FabricConfig::qdr(),
-            NicCosts::default(),
-            |ctx, rt, mach, core| {
-                // Machine m's slowest core takes 10(m+1) ms in phase one.
-                ctx.advance(SimDuration::from_millis(
-                    10 * (mach as u64 + 1) - core as u64,
-                ));
-                rt.sync_named(ctx, "alpha", mach);
-                ctx.advance(SimDuration::from_millis(5));
-                rt.sync_named(ctx, "beta", mach);
-            },
-        );
+        let run = run(3, 2, FabricConfig::qdr(), |ctx, rt, mach, core| {
+            // Machine m's slowest core takes 10(m+1) ms in phase one.
+            ctx.advance(SimDuration::from_millis(
+                10 * (mach as u64 + 1) - core as u64,
+            ));
+            rt.try_sync_named(ctx, "alpha", mach)?;
+            ctx.advance(SimDuration::from_millis(5));
+            rt.try_sync_named(ctx, "beta", mach)?;
+            Ok(())
+        });
         assert_eq!(run.events.len(), 6);
         let alpha: Vec<_> = run.events.iter().filter(|e| e.name == "alpha").collect();
         assert_eq!(alpha.len(), 3);
@@ -700,23 +595,18 @@ mod tests {
 
     #[test]
     fn events_fold_into_phase_times_that_sum_to_total() {
-        let run = run_cluster(
-            2,
-            1,
-            FabricConfig::fdr(),
-            NicCosts::default(),
-            |ctx, rt, mach, _core| {
-                for (phase, ms) in [
-                    ("histogram", 1u64),
-                    ("network_partition", 7),
-                    ("local_partition", 3),
-                    ("build_probe", 9),
-                ] {
-                    ctx.advance(SimDuration::from_millis(ms * (mach as u64 + 1)));
-                    rt.sync_named(ctx, phase, mach);
-                }
-            },
-        );
+        let run = run(2, 1, FabricConfig::fdr(), |ctx, rt, mach, _core| {
+            for (phase, ms) in [
+                ("histogram", 1u64),
+                ("network_partition", 7),
+                ("local_partition", 3),
+                ("build_probe", 9),
+            ] {
+                ctx.advance(SimDuration::from_millis(ms * (mach as u64 + 1)));
+                rt.try_sync_named(ctx, phase, mach)?;
+            }
+            Ok(())
+        });
         let times = PhaseTimes::from_events(&run.events);
         // Machine 1 is the slowest throughout: each phase takes 2x ms.
         assert_eq!(times.histogram, SimDuration::from_millis(2));
@@ -729,23 +619,17 @@ mod tests {
 
     #[test]
     fn workers_can_use_the_fabric() {
-        use rsj_rdma::HostId;
-        let run = run_cluster(
-            2,
-            1,
-            FabricConfig::qdr(),
-            NicCosts::default(),
-            |ctx, rt, mach, _core| {
-                let nic = rt.fabric.nic(HostId(mach));
-                let dst = HostId(1 - mach);
-                let ev = nic.post_send(ctx, dst, 5, vec![0u8; 4096]);
-                let c = nic.recv(ctx).unwrap().expect("peer message");
-                assert_eq!(c.tag, 5);
-                nic.repost_recv(ctx);
-                ev.wait(ctx).unwrap();
-                rt.sync(ctx);
-            },
-        );
+        let run = run(2, 1, FabricConfig::qdr(), |ctx, rt, mach, _core| {
+            let nic = rt.fabric.nic(HostId(mach));
+            let dst = HostId(1 - mach);
+            let ev = nic.post_send(ctx, dst, 5, vec![0u8; 4096]);
+            let c = nic.recv(ctx).unwrap().expect("peer message");
+            assert_eq!(c.tag, 5);
+            nic.repost_recv(ctx);
+            ev.wait(ctx).unwrap();
+            rt.try_sync_named(ctx, "exchange", mach)?;
+            Ok(())
+        });
         assert_eq!(run.marks.len(), 2);
         assert!(run.marks[1] > SimTime::ZERO);
     }

@@ -802,6 +802,11 @@ impl QueryService {
             ctx,
             move |ctx, rt, mach, core| job.run_worker(ctx, rt, mach, core),
             move |ctx, result| {
+                // Retire the query's fabric view (its lanes unregister)
+                // and audit its verbs-contract end state before the
+                // outcome is merged.
+                finish_rt.fabric.close_view(ctx);
+                finish_rt.fabric.validator().check_query_teardown(id);
                 let result = match result {
                     Ok(run) => {
                         finish_job.finish(&finish_rt, &run);

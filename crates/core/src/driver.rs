@@ -18,16 +18,18 @@
 //!
 //! The join is packaged as a [`DistJoinJob`] — an [`rsj_cluster::QueryJob`]
 //! — so the same attach/run/finish sequence serves both entry points: the
-//! direct [`try_run_distributed_join`] (one join, its own fabric) and the
-//! multi-query [`rsj_cluster::QueryService`] (many joins multiplexed over
-//! a shared fabric). The direct path is byte-identical to the
-//! pre-service code: same construction order, same barriers, same wire
-//! schedule.
+//! direct [`try_run_distributed_join`] (one join, its own fabric, through
+//! [`rsj_cluster::run_direct`]) and the multi-query
+//! [`rsj_cluster::QueryService`] (many joins multiplexed over a shared
+//! fabric). Both spawn their workers through the same
+//! [`rsj_cluster::Runtime::spawn_workers`]. The direct path is
+//! byte-identical to the pre-service code: same construction order, same
+//! barriers, same wire schedule.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rsj_cluster::{phase, ClusterRun, JoinError, Meter, PhaseTimes, QueryJob, Runtime};
+use rsj_cluster::{phase, run_direct, ClusterRun, JoinError, Meter, PhaseTimes, QueryJob, Runtime};
 use rsj_rdma::HostId;
 use rsj_sim::{SimCtx, SimTime};
 use rsj_workload::{JoinResult, Relation, Tuple};
@@ -202,46 +204,23 @@ impl<T: Tuple> QueryJob for DistJoinJob<T> {
 /// Execute the distributed join on relations already loaded across the
 /// cluster (chunk `m` of each relation resides on machine `m`). Returns
 /// the verified result, the per-phase breakdown and per-machine stats.
-///
-/// # Panics
-/// Panics if the run aborts — which cannot happen without a
-/// [`DistJoinConfig::fault_plan`]; use [`try_run_distributed_join`] for
-/// fault-injected runs.
-pub fn run_distributed_join<T: Tuple>(
-    cfg: DistJoinConfig,
-    r: Relation<T>,
-    s: Relation<T>,
-) -> DistJoinOutcome {
-    try_run_distributed_join(cfg, r, s).unwrap_or_else(|e| panic!("distributed join failed: {e}"))
-}
-
-/// Fallible variant of [`run_distributed_join`]: with a
-/// [`DistJoinConfig::fault_plan`] installed, the join either completes
-/// byte-correct despite transient faults or returns the structured
-/// [`JoinError`] naming the machine and phase that failed — never hangs
-/// (the runtime watchdog converts a stuck cluster into
-/// [`JoinError::BarrierTimeout`]).
+/// With a [`DistJoinConfig::fault_plan`] installed, the join either
+/// completes byte-correct despite transient faults or returns the
+/// structured [`JoinError`] naming the machine and phase that failed —
+/// never hangs (the runtime watchdog converts a stuck cluster into
+/// [`JoinError::BarrierTimeout`]). Without a fault plan it cannot fail.
 pub fn try_run_distributed_join<T: Tuple>(
     cfg: DistJoinConfig,
     r: Relation<T>,
     s: Relation<T>,
 ) -> Result<DistJoinOutcome, JoinError> {
-    let m = cfg.cluster.machines;
-    let cores = cfg.cluster.cores_per_machine;
     let plan = cfg.fault_plan.clone();
     let fabric_cfg = cfg.fabric_config();
     let nic = cfg.cluster.cost.nic;
     let validate_mode = cfg.validate_mode;
 
     let job = DistJoinJob::new(cfg, r, s);
-    let rt = Runtime::new_with_plan(m, cores, fabric_cfg, nic, plan);
-    if let Some(mode) = validate_mode {
-        rt.fabric.validator().set_mode(mode);
-    }
-    job.attach(&rt);
-
-    let wj = Arc::clone(&job);
-    let run = rt.try_run(move |ctx, rt, mach, core| wj.run_worker(ctx, rt, mach, core))?;
+    let run = run_direct(&job, fabric_cfg, nic, plan, validate_mode)?;
 
     assert_eq!(
         run.marks.len(),
@@ -255,7 +234,6 @@ pub fn try_run_distributed_join<T: Tuple>(
         run.marks
     );
 
-    job.finish(&rt, &run);
     let outcome = job.take_outcome().expect("finish records the outcome");
     // Back-to-back named phases: the folded durations cover the run end
     // to end, exactly as the former raw-mark differences did. (Direct
@@ -270,8 +248,8 @@ pub fn try_run_distributed_join<T: Tuple>(
 
 /// One simulated core's journey through the four phases, dispatched on
 /// the probe dataplane. The runtime's named barriers record the
-/// per-machine phase events; the trailing barrier and fabric shutdown
-/// are handled by [`Runtime::try_run`]. A phase error aborts the whole
+/// per-machine phase events; the trailing barrier and teardown are
+/// handled by [`Runtime::spawn_workers`]. A phase error aborts the whole
 /// run ([`Runtime::fail`]).
 fn worker<T: Tuple>(
     ctx: &SimCtx,

@@ -17,7 +17,7 @@
 //! | `unwrap` | `.unwrap()` (or an `.expect` with a non-descriptive message) in non-test library code — failures in phase code must say what invariant broke |
 //! | `hot-alloc` | `vec!` / `Vec::new` inside `crates/joins` functions named `*_kernel`, `histogram*` or `scatter*` — those are the per-partition hot loops; allocate scratch once in the owning `Partitioner`/table and reuse it |
 //! | `fabric-panic` | `.unwrap()` / `.expect(` on the fabric's fallible post/poll results (`wait`/`recv`/`admit`/`drain`) in non-test library code — fault-plane errors (DESIGN.md §8) must propagate as `JoinError` so the run aborts cleanly |
-//! | `barrier-name` | a raw string literal as the barrier name at a `sync_named` / `try_sync_named` call site outside `crates/cluster` — barrier names are namespaced per query (`(QueryId, name)`, DESIGN.md §9) and must come from the `rsj_cluster::phase` constants so phase attribution stays canonical |
+//! | `barrier-name` | a raw string literal as the barrier name at a `try_sync_named` call site outside `crates/cluster` — barrier names are namespaced per query (`(QueryId, name)`, DESIGN.md §9) and must come from the `rsj_cluster::phase` constants so phase attribution stays canonical |
 //! | `nondet-iter` | iteration (`iter`/`into_iter`/`keys`/`values`/`drain`/`retain`/…) over a `std` `HashMap`/`HashSet` in result-affecting library code — the per-process random SipHash seed makes the order vary run-to-run, breaking byte-identical replay; use `BTreeMap`/`BTreeSet` or sort before iterating. Order-independent sinks (commutative folds like `.sum()`, collecting back into a map, collect-then-sort) are recognized and not flagged. Identifier typing is cross-file and name-based |
 //! | `barrier-protocol` | per operator entry point in `crates/{core,operators}`: a `phase::` barrier reachable on some control-flow paths but not others (a worker that skips it deadlocks every peer parked on the `(QueryId, name)` barrier), a plain early `return` that can skip a later barrier (only `JoinError` propagation may bypass barriers — an abort poisons them), and phase sequences that violate the canonical declaration order of `crates/cluster/src/phase.rs` |
 //! | `error-swallow` | `let _ =`, `.ok()`, or a bare statement discard on a fabric/`JoinError` result (`wait`/`recv`/`admit`/`drain`/`try_sync*`) in library code — fault-plane errors must propagate or be matched explicitly |
@@ -303,10 +303,10 @@ mod tests {
         let f = lint_file("crates/operators/src/sort_merge.rs", src);
         assert_eq!(rules_of(&f), ["barrier-name"]);
         assert_eq!(f[0].line, 2);
-        // The infallible wrapper is covered by the same pattern.
-        let sync = "fn f() {\n    rt.sync_named(ctx, \"drain\", mach);\n}\n";
+        // Every crate outside crates/cluster is covered.
+        let core = "fn f() -> Result<(), JoinError> {\n    rt.try_sync_named(ctx, \"drain\", mach)?;\n    Ok(())\n}\n";
         assert_eq!(
-            rules_of(&lint_file("crates/core/src/phases/network.rs", sync)),
+            rules_of(&lint_file("crates/core/src/phases/network.rs", core)),
             ["barrier-name"]
         );
         // Naming the barrier through the phase constants is the fix.
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn barrier_name_rule_is_scoped_and_waivable() {
-        let src = "fn f() {\n    rt.sync_named(ctx, \"alpha\", mach);\n}\n";
+        let src = "fn f() -> Result<(), JoinError> {\n    rt.try_sync_named(ctx, \"alpha\", mach)?;\n    Ok(())\n}\n";
         // crates/cluster owns the namespace and its tests name barriers
         // freely to exercise it.
         assert!(lint_file("crates/cluster/src/runtime.rs", src).is_empty());
@@ -326,7 +326,7 @@ mod tests {
         let test_mod = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(lint_file("crates/operators/src/x.rs", &test_mod).is_empty());
         // A waiver with a reason applies; the finding is kept but waived.
-        let waived = "fn f() {\n    // lint: allow-barrier-name(one-off drain point, not a phase)\n    rt.sync_named(ctx, \"drain\", mach);\n}\n";
+        let waived = "fn f() -> Result<(), JoinError> {\n    // lint: allow-barrier-name(one-off drain point, not a phase)\n    rt.try_sync_named(ctx, \"drain\", mach)?;\n    Ok(())\n}\n";
         let f = lint_file("crates/operators/src/x.rs", waived);
         assert!(rules_of(&f).is_empty());
         assert_eq!(f.len(), 1);
@@ -335,8 +335,8 @@ mod tests {
             f[0].reason.as_deref(),
             Some("one-off drain point, not a phase")
         );
-        // Mentioning sync_named in a comment does not trip the rule.
-        let comment = "// call sync_named(ctx, \"name\", mach) with a phase constant\n";
+        // Mentioning try_sync_named in a comment does not trip the rule.
+        let comment = "// call try_sync_named(ctx, \"name\", mach) with a phase constant\n";
         assert!(lint_file("crates/operators/src/x.rs", comment).is_empty());
     }
 

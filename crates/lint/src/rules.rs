@@ -29,7 +29,7 @@ const MIN_EXPECT_LEN: usize = 10;
 const FABRIC_METHODS: [&str; 4] = ["wait", "recv", "admit", "drain"];
 
 /// Fallible barrier/run entry points returning `JoinError` results.
-const JOIN_METHODS: [&str; 3] = ["try_sync_named", "try_sync", "try_sync_quiet"];
+const JOIN_METHODS: [&str; 2] = ["try_sync_named", "try_sync_quiet"];
 
 /// Iteration-order-sensitive methods on `std` hash containers.
 const HASH_ITER_METHODS: [&str; 8] = [
@@ -192,7 +192,7 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
         // crates/cluster.
         if !in_cluster
             && ctx.text(i) == "."
-            && matches!(ctx.text(i + 1), "sync_named" | "try_sync_named")
+            && ctx.text(i + 1) == "try_sync_named"
             && ctx.text(i + 2) == "("
         {
             if let Some(close) = ctx.matching_close(i + 2) {
@@ -200,7 +200,7 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
                     push(
                         "barrier-name",
                         ctx.line(i + 1),
-                        "raw barrier-name string at a sync_named call site; use the \
+                        "raw barrier-name string at a try_sync_named call site; use the \
                          rsj_cluster::phase constants so the (QueryId, phase) namespace stays \
                          canonical"
                             .into(),
@@ -534,7 +534,7 @@ struct BarrierCall {
 }
 
 /// `barrier-protocol`: per function, extract the `phase::` constants
-/// passed to `sync_named`/`try_sync_named` in control-flow order and
+/// passed to `try_sync_named` in control-flow order and
 /// verify (a) every barrier is unconditionally reached, (b) no plain
 /// early `return` can skip a later barrier, and (c) the sequence follows
 /// the canonical declaration order of `crates/cluster/src/phase.rs`.
@@ -553,10 +553,7 @@ fn barrier_protocol(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Finding>) 
         let mut calls: Vec<BarrierCall> = Vec::new();
         let mut returns: Vec<usize> = Vec::new(); // conditional plain returns
         for i in open + 1..end {
-            if ctx.text(i) == "."
-                && matches!(ctx.text(i + 1), "sync_named" | "try_sync_named")
-                && ctx.text(i + 2) == "("
-            {
+            if ctx.text(i) == "." && ctx.text(i + 1) == "try_sync_named" && ctx.text(i + 2) == "(" {
                 let close = ctx.matching_close(i + 2).unwrap_or(end);
                 let mut konst = None;
                 for k in i + 3..close {
@@ -676,11 +673,10 @@ enum MeterEvent {
 }
 
 /// Methods whose call marks a kernel-visible interaction point.
-const INTERACTION_METHODS: [&str; 10] = [
+const INTERACTION_METHODS: [&str; 9] = [
     "park",
-    "sync_named",
     "try_sync_named",
-    "sync_quiet",
+    "try_sync_quiet",
     "post_send",
     "post_send_windowed",
     "post_write",

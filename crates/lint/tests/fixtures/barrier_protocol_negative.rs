@@ -5,7 +5,7 @@
 // crates/core/src/phases/bp_neg.rs.
 
 pub fn worker(rt: &Runtime, ctx: &SimCtx, m: usize, bad: bool) -> Result<(), JoinError> {
-    rt.sync_named(ctx, phase::HISTOGRAM, m);
+    rt.try_sync_named(ctx, phase::HISTOGRAM, m)?;
     rt.try_sync_named(ctx, phase::NETWORK_PARTITION, m)?;
     rt.try_sync_named(ctx, phase::LOCAL_PARTITION, m)?;
     if bad {

@@ -19,7 +19,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{decode_into, Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, Runtime, WireTag};
+use rsj_cluster::{ranges, run_direct, Runtime, WireTag};
 
 /// Configuration of a distributed aggregation.
 #[derive(Clone, Debug)]
@@ -86,25 +86,14 @@ struct MachState<T> {
     result: Mutex<AggregateResult>,
 }
 
-/// Run the distributed aggregation over `s`.
-///
-/// # Panics
-/// Panics if the run aborts — impossible without an
-/// [`AggregationConfig::fault_plan`]; use [`try_run_aggregation`] for
-/// fault-injected runs.
-pub fn run_aggregation<T: Tuple>(cfg: AggregationConfig, s: Relation<T>) -> AggregationOutcome {
-    try_run_aggregation(cfg, s).unwrap_or_else(|e| panic!("aggregation failed: {e}"))
-}
-
-/// Fallible variant of [`run_aggregation`]: with a fault plan installed
-/// the aggregation completes byte-correct or returns a structured
-/// [`JoinError`] — never hangs.
+/// Run the distributed aggregation over `s`. With an
+/// [`AggregationConfig::fault_plan`] installed the aggregation completes
+/// byte-correct or returns a structured [`JoinError`] — never hangs;
+/// without one it cannot fail.
 pub fn try_run_aggregation<T: Tuple>(
     cfg: AggregationConfig,
     s: Relation<T>,
 ) -> Result<AggregationOutcome, JoinError> {
-    let m = cfg.cluster.machines;
-    let cores = cfg.cluster.cores_per_machine;
     let fabric_cfg = cfg.fabric_override.unwrap_or_else(|| {
         cfg.cluster
             .interconnect
@@ -115,11 +104,7 @@ pub fn try_run_aggregation<T: Tuple>(
     let plan = cfg.fault_plan.clone();
 
     let job = AggregationJob::new(cfg, s);
-    let rt = Runtime::new_with_plan(m, cores, fabric_cfg, nic_costs, plan);
-    job.attach(&rt);
-    let wj = Arc::clone(&job);
-    let run = rt.try_run(move |ctx, rt, mach, core| wj.run_worker(ctx, rt, mach, core))?;
-    job.finish(&rt, &run);
+    run_direct(&job, fabric_cfg, nic_costs, plan, None)?;
     Ok(job.take_outcome().expect("finish records the outcome"))
 }
 
@@ -444,7 +429,7 @@ mod tests {
         let distinct: HashSet<u64> = s.iter_all().map(|t| t.key()).collect();
         let key_sum = s.iter_all().fold(0u64, |a, t| a.wrapping_add(t.key()));
         let rid_sum = s.iter_all().fold(0u64, |a, t| a.wrapping_add(t.rid()));
-        let out = run_aggregation(cfg(machines, 3), s);
+        let out = try_run_aggregation(cfg(machines, 3), s).expect("aggregation failed");
         assert_eq!(out.result.groups, distinct.len() as u64);
         assert_eq!(out.result.key_weighted_count, key_sum);
         assert_eq!(out.result.rid_sum, rid_sum);
@@ -456,7 +441,7 @@ mod tests {
         // would inflate it.
         let machines = 4;
         let (s, _) = generate_outer::<Tuple16>(8_000, 500, machines, Skew::None, 51);
-        let out = run_aggregation(cfg(machines, 3), s);
+        let out = try_run_aggregation(cfg(machines, 3), s).expect("aggregation failed");
         assert_eq!(out.result.groups, 500);
     }
 
@@ -465,7 +450,7 @@ mod tests {
         let machines = 2;
         let run = || {
             let (s, _) = generate_outer::<Tuple16>(10_000, 1_000, machines, Skew::None, 52);
-            run_aggregation(cfg(machines, 3), s)
+            try_run_aggregation(cfg(machines, 3), s).expect("aggregation failed")
         };
         let a = run();
         let b = run();
@@ -484,7 +469,7 @@ mod tests {
         let machines = 3;
         let run = || {
             let (s, _) = generate_outer::<Tuple16>(12_000, 900, machines, Skew::Zipf(1.05), 53);
-            run_aggregation(cfg(machines, 2), s)
+            try_run_aggregation(cfg(machines, 2), s).expect("aggregation failed")
         };
         let first = run();
         for rep in 1..5 {

@@ -19,7 +19,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{decode_all, JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::REL_S;
-use rsj_cluster::{ranges, Runtime, WireTag};
+use rsj_cluster::{ranges, run_direct, Runtime, WireTag};
 
 /// Phase name of the rotation rounds, for error attribution.
 const PHASE_ROTATE: &str = phase::BUILD_PROBE;
@@ -71,29 +71,14 @@ struct MachState<T> {
 }
 
 /// Run the cyclo-join: `r` stays stationary, `s` rotates around the ring.
-///
-/// # Panics
-/// Panics if the run aborts — impossible without a
-/// [`CycloJoinConfig::fault_plan`]; use [`try_run_cyclo_join`] for
-/// fault-injected runs.
-pub fn run_cyclo_join<T: Tuple>(
-    cfg: CycloJoinConfig,
-    r: Relation<T>,
-    s: Relation<T>,
-) -> CycloJoinOutcome {
-    try_run_cyclo_join(cfg, r, s).unwrap_or_else(|e| panic!("cyclo-join failed: {e}"))
-}
-
-/// Fallible variant of [`run_cyclo_join`]: with a fault plan installed the
-/// join completes byte-correct or returns a structured [`JoinError`] —
-/// never hangs.
+/// With a [`CycloJoinConfig::fault_plan`] installed the join completes
+/// byte-correct or returns a structured [`JoinError`] — never hangs;
+/// without one it cannot fail.
 pub fn try_run_cyclo_join<T: Tuple>(
     cfg: CycloJoinConfig,
     r: Relation<T>,
     s: Relation<T>,
 ) -> Result<CycloJoinOutcome, JoinError> {
-    let m = cfg.cluster.machines;
-    let cores = cfg.cluster.cores_per_machine;
     let fabric_cfg = cfg.fabric_override.unwrap_or_else(|| {
         cfg.cluster
             .interconnect
@@ -104,11 +89,7 @@ pub fn try_run_cyclo_join<T: Tuple>(
     let plan = cfg.fault_plan.clone();
 
     let job = CycloJoinJob::new(cfg, r, s);
-    let rt = Runtime::new_with_plan(m, cores, fabric_cfg, nic_costs, plan);
-    job.attach(&rt);
-    let wj = Arc::clone(&job);
-    let run = rt.try_run(move |ctx, rt, mach, core| wj.run_worker(ctx, rt, mach, core))?;
-    job.finish(&rt, &run);
+    run_direct(&job, fabric_cfg, nic_costs, plan, None)?;
     Ok(job.take_outcome().expect("finish records the outcome"))
 }
 
@@ -313,7 +294,7 @@ mod tests {
         let machines = 3;
         let r = generate_inner::<Tuple16>(4_000, machines, 61);
         let (s, oracle) = generate_outer::<Tuple16>(12_000, 4_000, machines, Skew::None, 62);
-        let out = run_cyclo_join(cfg(machines, 2), r, s);
+        let out = try_run_cyclo_join(cfg(machines, 2), r, s).expect("cyclo-join failed");
         oracle.verify(&out.result);
     }
 
@@ -322,7 +303,7 @@ mod tests {
         let machines = 2;
         let r = generate_inner::<Tuple16>(1_000, machines, 63);
         let (s, oracle) = generate_outer::<Tuple16>(20_000, 1_000, machines, Skew::Zipf(1.2), 64);
-        let out = run_cyclo_join(cfg(machines, 3), r, s);
+        let out = try_run_cyclo_join(cfg(machines, 3), r, s).expect("cyclo-join failed");
         oracle.verify(&out.result);
     }
 
@@ -336,7 +317,7 @@ mod tests {
         // cyclo-join can actually win — no partitioning passes — which is
         // why the paper's related work calls it an interesting design for
         // storage-oriented rings rather than a join accelerator.)
-        use rsj_core::{run_distributed_join, DistJoinConfig};
+        use rsj_core::{try_run_distributed_join, DistJoinConfig};
         let machines = 8;
         let n_r = 20_000u64;
         let n_s = 160_000u64;
@@ -346,7 +327,7 @@ mod tests {
             (r, s)
         };
         let (r, s) = mk();
-        let cyclo = run_cyclo_join(
+        let cyclo = try_run_cyclo_join(
             {
                 let mut spec = ClusterSpec::qdr_cluster(machines);
                 spec.cores_per_machine = 8;
@@ -354,12 +335,13 @@ mod tests {
             },
             r,
             s,
-        );
+        )
+        .expect("cyclo-join failed");
         let (r, s) = mk();
         let mut hj_cfg = DistJoinConfig::new(ClusterSpec::qdr_cluster(machines));
         hj_cfg.radix_bits = (5, 3);
         hj_cfg.rdma_buf_size = 1024;
-        let hj = run_distributed_join(hj_cfg, r, s);
+        let hj = try_run_distributed_join(hj_cfg, r, s).expect("distributed join failed");
         assert_eq!(cyclo.result, hj.result);
         assert!(
             cyclo.phases.total() > hj.phases.total(),
@@ -373,7 +355,7 @@ mod tests {
     fn single_machine_ring_degenerates_to_local_probe() {
         let r = generate_inner::<Tuple16>(2_000, 1, 67);
         let (s, oracle) = generate_outer::<Tuple16>(4_000, 2_000, 1, Skew::None, 68);
-        let out = run_cyclo_join(cfg(1, 2), r, s);
+        let out = try_run_cyclo_join(cfg(1, 2), r, s).expect("cyclo-join failed");
         oracle.verify(&out.result);
     }
 }

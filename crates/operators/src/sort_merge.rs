@@ -23,7 +23,7 @@ use rsj_sim::SimCtx;
 use rsj_workload::{decode_into, JoinResult, Relation, Tuple};
 
 use rsj_cluster::wire::{REL_R, REL_S};
-use rsj_cluster::{ranges, Runtime, WireTag};
+use rsj_cluster::{ranges, run_direct, Runtime, WireTag};
 
 /// Configuration of a distributed sort-merge join.
 #[derive(Clone, Debug)]
@@ -81,29 +81,14 @@ struct MachState<T> {
 }
 
 /// Run the distributed sort-merge join (two-sided interleaved RDMA).
-///
-/// # Panics
-/// Panics if the run aborts — impossible without a
-/// [`SortMergeConfig::fault_plan`]; use [`try_run_sort_merge_join`] for
-/// fault-injected runs.
-pub fn run_sort_merge_join<T: Tuple>(
-    cfg: SortMergeConfig,
-    r: Relation<T>,
-    s: Relation<T>,
-) -> SortMergeOutcome {
-    try_run_sort_merge_join(cfg, r, s).unwrap_or_else(|e| panic!("sort-merge join failed: {e}"))
-}
-
-/// Fallible variant of [`run_sort_merge_join`]: with a fault plan
-/// installed the join completes byte-correct or returns a structured
-/// [`JoinError`] — never hangs.
+/// With a [`SortMergeConfig::fault_plan`] installed the join completes
+/// byte-correct or returns a structured [`JoinError`] — never hangs;
+/// without one it cannot fail.
 pub fn try_run_sort_merge_join<T: Tuple>(
     cfg: SortMergeConfig,
     r: Relation<T>,
     s: Relation<T>,
 ) -> Result<SortMergeOutcome, JoinError> {
-    let m = cfg.cluster.machines;
-    let cores = cfg.cluster.cores_per_machine;
     let fabric_cfg = cfg.fabric_override.unwrap_or_else(|| {
         cfg.cluster
             .interconnect
@@ -114,11 +99,7 @@ pub fn try_run_sort_merge_join<T: Tuple>(
     let plan = cfg.fault_plan.clone();
 
     let job = SortMergeJob::new(cfg, r, s);
-    let rt = Runtime::new_with_plan(m, cores, fabric_cfg, nic_costs, plan);
-    job.attach(&rt);
-    let wj = Arc::clone(&job);
-    let run = rt.try_run(move |ctx, rt, mach, core| wj.run_worker(ctx, rt, mach, core))?;
-    job.finish(&rt, &run);
+    run_direct(&job, fabric_cfg, nic_costs, plan, None)?;
     Ok(job.take_outcome().expect("finish records the outcome"))
 }
 
@@ -509,7 +490,8 @@ mod tests {
         let machines = 3;
         let r = generate_inner::<Tuple16>(8_000, machines, 31);
         let (s, oracle) = generate_outer::<Tuple16>(24_000, 8_000, machines, Skew::None, 32);
-        let out = run_sort_merge_join(small_cfg(machines, 3), r, s);
+        let out =
+            try_run_sort_merge_join(small_cfg(machines, 3), r, s).expect("sort-merge join failed");
         oracle.verify(&out.result);
         assert!(out.phases.total().as_nanos() > 0);
     }
@@ -519,13 +501,14 @@ mod tests {
         let machines = 2;
         let r = generate_inner::<Tuple16>(2_000, machines, 33);
         let (s, oracle) = generate_outer::<Tuple16>(30_000, 2_000, machines, Skew::Zipf(1.2), 34);
-        let out = run_sort_merge_join(small_cfg(machines, 3), r, s);
+        let out =
+            try_run_sort_merge_join(small_cfg(machines, 3), r, s).expect("sort-merge join failed");
         oracle.verify(&out.result);
     }
 
     #[test]
     fn agrees_with_the_hash_join() {
-        use rsj_core::{run_distributed_join, DistJoinConfig};
+        use rsj_core::{try_run_distributed_join, DistJoinConfig};
         let machines = 2;
         let mk = || {
             let r = generate_inner::<Tuple16>(5_000, machines, 35);
@@ -533,7 +516,8 @@ mod tests {
             (r, s)
         };
         let (r1, s1) = mk();
-        let sm = run_sort_merge_join(small_cfg(machines, 3), r1, s1);
+        let sm = try_run_sort_merge_join(small_cfg(machines, 3), r1, s1)
+            .expect("sort-merge join failed");
         let (r2, s2) = mk();
         let mut hj_cfg = DistJoinConfig::new({
             let mut spec = ClusterSpec::fdr_cluster(machines);
@@ -542,7 +526,7 @@ mod tests {
         });
         hj_cfg.radix_bits = (4, 2);
         hj_cfg.rdma_buf_size = 1024;
-        let hj = run_distributed_join(hj_cfg, r2, s2);
+        let hj = try_run_distributed_join(hj_cfg, r2, s2).expect("distributed join failed");
         assert_eq!(sm.result, hj.result);
     }
 
@@ -550,12 +534,13 @@ mod tests {
     fn hash_join_is_faster_than_sort_merge() {
         // §2.2/[3]: "the radix hash join is still superior to sort-merge
         // approaches" at the paper's hardware rates.
-        use rsj_core::{run_distributed_join, DistJoinConfig};
+        use rsj_core::{try_run_distributed_join, DistJoinConfig};
         let machines = 3;
         let n = 60_000u64;
         let r = generate_inner::<Tuple16>(n, machines, 37);
         let (s, _) = generate_outer::<Tuple16>(n, n, machines, Skew::None, 38);
-        let sm = run_sort_merge_join(small_cfg(machines, 4), r, s);
+        let sm =
+            try_run_sort_merge_join(small_cfg(machines, 4), r, s).expect("sort-merge join failed");
         let r = generate_inner::<Tuple16>(n, machines, 37);
         let (s, _) = generate_outer::<Tuple16>(n, n, machines, Skew::None, 38);
         let mut hj_cfg = DistJoinConfig::new({
@@ -565,7 +550,7 @@ mod tests {
         });
         hj_cfg.radix_bits = (4, 3);
         hj_cfg.rdma_buf_size = 1024;
-        let hj = run_distributed_join(hj_cfg, r, s);
+        let hj = try_run_distributed_join(hj_cfg, r, s).expect("distributed join failed");
         assert!(
             sm.phases.total() > hj.phases.total(),
             "sort-merge {:?} must exceed hash {:?}",
@@ -580,7 +565,7 @@ mod tests {
             let machines = 2;
             let r = generate_inner::<Tuple16>(4_000, machines, 39);
             let (s, _) = generate_outer::<Tuple16>(8_000, 4_000, machines, Skew::None, 40);
-            run_sort_merge_join(small_cfg(machines, 3), r, s)
+            try_run_sort_merge_join(small_cfg(machines, 3), r, s).expect("sort-merge join failed")
         };
         let a = run();
         let b = run();
