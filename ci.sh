@@ -1,33 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the lint gauntlet. Run from the repo root.
 #
-#   ./ci.sh         full gate (build, tests, fmt, clippy, lint, perf, chaos)
-#   ./ci.sh tsan    opt-in ThreadSanitizer lane over the rsj-sim kernel
-#                   (needs a nightly toolchain; skips gracefully without one)
+#   ./ci.sh         full gate (build, tests, fmt, clippy, lint, perf, chaos,
+#                   benchmark smoke)
 set -euo pipefail
 cd "$(dirname "$0")"
-
-if [[ "${1:-}" == "tsan" ]]; then
-    # ThreadSanitizer lane: races in the cooperative kernel would undermine
-    # every determinism claim downstream, so the sim crate's own tests run
-    # under -Zsanitizer=thread. Opt-in because it needs nightly and -Zbuild-std.
-    if ! cargo +nightly --version >/dev/null 2>&1; then
-        echo "ci.sh tsan: no nightly toolchain installed; skipping (rustup toolchain install nightly)"
-        exit 0
-    fi
-    host="$(rustc -vV | sed -n 's/^host: //p')"
-    if ! cargo +nightly build -Z build-std --target "$host" -p rsj-sim \
-        --target-dir target/tsan-probe >/dev/null 2>&1; then
-        echo "ci.sh tsan: nightly lacks rust-src / -Z build-std support; skipping"
-        exit 0
-    fi
-    RUSTFLAGS="-Zsanitizer=thread" \
-    TSAN_OPTIONS="suppressions=$(pwd)/tsan.supp" \
-    cargo +nightly test -Z build-std --target "$host" -p rsj-sim \
-        --target-dir target/tsan
-    echo "ci.sh tsan: rsj-sim clean under ThreadSanitizer"
-    exit 0
-fi
 
 cargo build --release
 # Debug-profile tests run with the verbs-contract validator in Panic mode
@@ -53,7 +30,7 @@ cargo run --release -q -p rsj-bench --bin perf -- --short --label ci --out targe
 cargo run --release -q -p rsj-bench --bin perf -- --check
 # Sweep-smoke lane: a small experiment subset through the parallel sweep
 # engine with two workers, diffed byte-wise against the serial engine.
-# Guards the stitching contract (DESIGN.md §11): `--jobs N` must never
+# Guards the stitching contract (DESIGN.md §12): `--jobs N` must never
 # change a single output byte.
 cargo run --release -q -p rsj-bench --bin experiments -- \
     all --subset fig3,fig5b,hardware,optimal --jobs 1 > target/sweep_smoke_serial.txt
@@ -73,3 +50,13 @@ timeout 300 cargo run --release -q -p rsj-bench --bin service -- --short
 # typed Rejected, at least one query must heal, and the report must replay
 # byte-identically. The watchdog turns a hung query into a CI failure.
 timeout 300 cargo run --release -q -p rsj-bench --bin chaos -- --soak --short
+# Benchmark smoke: the repository benchmark is its own package over the
+# library crates' public API, so nothing above compiles it. Build it and
+# run one short workload; its last line must report every output correct
+# and no failed operation.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+bench_last="$(cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+    --workload service-heal --seconds 1 --trace 0 | tail -n 1)"
+echo "benchmark smoke: $bench_last"
+grep -q '"correct": true' <<<"$bench_last"
+grep -Eq '"failed": 0[,}]' <<<"$bench_last"

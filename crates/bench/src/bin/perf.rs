@@ -412,7 +412,7 @@ fn bench_settle_batched(advances: u64) -> BenchRecord {
 
 /// Two tasks ping-ponging a token through channels: every hop is a
 /// park/unpark pair, i.e. the slow path the fast path cannot skip. Prices
-/// the gate (futex round trip) itself.
+/// the handoff (a coroutine stack switch) itself.
 fn bench_handoff(rounds: u64) -> BenchRecord {
     let ((), ms) = wall_ms(|| {
         let sim = Simulation::new();

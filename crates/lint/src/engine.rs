@@ -20,8 +20,8 @@ use std::collections::BTreeSet;
 use crate::lexer::{lex, Tok, TokKind};
 use crate::Finding;
 
-/// The simulator kernel implements virtual time on top of real OS threads
-/// and synchronization, so thread/sync/nondet rules do not apply to it.
+/// The simulator kernel implements the scheduler the determinism rules
+/// protect, so the nondet-iter and error-swallow rules do not apply to it.
 pub(crate) const KERNEL: &str = "crates/sim/src/kernel.rs";
 
 /// Canonical phase-constant file; its declaration order defines the

@@ -71,13 +71,12 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
     for i in 0..n {
         let test = ctx.in_test(i);
 
-        // ---- std-thread: everywhere (tests included), kernel exempt.
+        // ---- std-thread: everywhere (tests included).
         // The short `thread::spawn(` form is skipped when it is just the
         // tail of a full `std::thread::spawn` path (already matched).
         let tail_of_path = i > 0 && ctx.text(i - 1) == ":";
-        if !is_kernel
-            && (ctx.seq(i, &["std", ":", ":", "thread", ":", ":", "spawn"])
-                || (!tail_of_path && ctx.seq(i, &["thread", ":", ":", "spawn", "("])))
+        if ctx.seq(i, &["std", ":", ":", "thread", ":", ":", "spawn"])
+            || (!tail_of_path && ctx.seq(i, &["thread", ":", ":", "spawn", "("]))
         {
             push(
                 "std-thread",
@@ -106,8 +105,8 @@ pub(crate) fn check_file(ctx: &FileCtx<'_>, global: &Global, out: &mut Vec<Findi
             continue; // remaining rules are library-code rules
         }
 
-        // ---- std-sync: kernel exempt.
-        if !is_kernel && ctx.seq(i, &["std", ":", ":", "sync", ":", ":"]) {
+        // ---- std-sync.
+        if ctx.seq(i, &["std", ":", ":", "sync", ":", ":"]) {
             let blocking = ["Mutex", "Barrier", "Condvar"];
             let j = i + 6;
             let hit = if blocking.contains(&ctx.text(j)) {

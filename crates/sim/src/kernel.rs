@@ -1,11 +1,13 @@
 //! The discrete-event kernel: a cooperative scheduler for simulated threads.
 //!
 //! Every simulated entity (a worker core, a NIC engine, a coordinator) is a
-//! real OS thread, but **exactly one of them runs at any moment**. A thread
-//! runs until it reaches a *yield point* — [`SimCtx::advance`] (charge
-//! virtual time), [`SimCtx::park`] (block until unparked), or thread exit —
-//! at which point the kernel dispatches the runnable thread with the
-//! smallest `(wake_time, task, sequence_number)` key. Ties on the clock are
+//! stackful coroutine with a stack of its own, and all of one simulation's
+//! coroutines run on the OS thread that calls [`Simulation::run`], so
+//! **exactly one of them runs at any moment**. A task runs until it
+//! reaches a *yield point* — [`SimCtx::advance`] (charge virtual time),
+//! [`SimCtx::park`] (block until unparked), or task exit — at which point
+//! the kernel dispatches the runnable task with the smallest
+//! `(wake_time, task, sequence_number)` key. Ties on the clock are
 //! broken by the *target task id*, not by global insertion order: which
 //! task runs first at a shared instant is a pure function of the instant
 //! and the task set, never of how many scheduler dispatches happened to
@@ -24,13 +26,13 @@
 //! ## Wall-clock hot path
 //!
 //! The `(time, task, seq)` total order is the determinism contract; *how
-//! fast the host walks that order* is a pure implementation concern. Three
+//! fast the host walks that order* is a pure implementation concern. Four
 //! techniques keep the walk cheap (DESIGN.md §"Kernel fast path"):
 //!
 //! 1. **Self-continuation fast path.** When an `advance()` would push an
 //!    event that precedes everything queued, the reference scheduler would
 //!    push it, dispatch it straight back to the same task, and pay a full
-//!    OS park/unpark round-trip for a no-op handoff. The fast path detects
+//!    dispatch for a no-op handoff. The fast path detects
 //!    this (`(wake, task) < next queued key`), bumps the clock, allocates
 //!    the same sequence number, and returns inline — zero queue operations,
 //!    zero context switches. Consecutive charges between interaction points
@@ -40,11 +42,12 @@
 //!    `O(log n)` over the full horizon. Unpark wakes and same-instant
 //!    yields — the bulk of barrier and channel traffic — stay in the small
 //!    structure.
-//! 3. **Futex-style gates.** The per-task wake gate is an atomic flag plus
-//!    `std::thread::park`/`unpark` instead of a mutex + condvar, roughly
-//!    3× cheaper per handoff on Linux (one futex wake, no lock convoy).
-//!    The winner's gate is opened *after* the scheduler lock is released so
-//!    the woken thread never immediately blocks on that lock.
+//! 3. **Stackful switches.** A grant is a user-space context switch to the
+//!    winner's saved stack pointer (`coroutine::switch`: six register
+//!    pushes and pops), not a futex wake and an OS reschedule. A task that
+//!    wins its own dispatch does not switch at all. Stacks are mapped on a
+//!    task's first dispatch and reused through a per-simulation pool once
+//!    their task has finished and switched away.
 //! 4. **Batched self-advance.** [`SimCtx::advance_batched`] accrues virtual
 //!    time into a per-task `pending` cell without touching the scheduler at
 //!    all — not even the state lock. This is sound because the kernel is a
@@ -59,6 +62,17 @@
 //!    seq-derived epoch assertion (debug builds) machine-checks the
 //!    frozen-queue invariant on every settle.
 //!
+//! ## Failures
+//!
+//! A panic in a task is caught at its coroutine entry, recorded, and
+//! re-raised by [`Simulation::run`]; no unwind ever crosses a stack
+//! switch. The failure (or a detected deadlock) puts every blocked task
+//! back in the queue at the current instant; each is then resumed with
+//! the abort flag and unwinds its own stack, so its destructors run. A
+//! yield point reached while the thread is already unwinding aborts the
+//! process: switching to another task there would hand it this task's
+//! in-flight panic.
+//!
 //! A heap-only reference scheduler (feature `ref-kernel`, also compiled for
 //! this crate's own tests) retains the original push-everything/pop-min
 //! structure; the trace-equivalence tests assert both produce the identical
@@ -67,11 +81,11 @@
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 
+use crate::coroutine::{self, Coroutine, Left, Stack};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a simulated thread within one [`Simulation`].
@@ -131,80 +145,26 @@ impl PartialOrd for Event {
 enum TaskState {
     /// Has an event in the queue (or is about to get one).
     Runnable,
-    /// Currently executing on its OS thread.
+    /// Currently executing.
     Running,
     /// Waiting for an explicit unpark.
     Blocked,
     Finished,
 }
 
-const GATE_OPEN: u8 = 0b01;
-const GATE_ABORT: u8 = 0b10;
-
-/// Per-task wake gate: an atomic flag word plus the task's OS thread
-/// handle. Opening the gate is a release store + `Thread::unpark` (a single
-/// futex wake when the target is parked); waiting is an acquire swap in a
-/// `std::thread::park` loop. This replaces the original mutex + condvar
-/// gate, which cost ~3× more per handoff (lock, notify, futex wake, lock
-/// reacquisition on the waiter).
-struct Gate {
-    /// `GATE_OPEN` grants execution; `GATE_ABORT` tells the waiter to
-    /// unwind instead of resuming. Consumed atomically by `wait`.
-    flags: AtomicU8,
-    /// The OS thread to unpark. Set exactly once, before the task can ever
-    /// be dispatched (the spawner holds the run token until `spawn`
-    /// returns, and the handle is stored inside `spawn`).
-    thread: OnceLock<std::thread::Thread>,
-}
-
-impl Gate {
-    fn new() -> Arc<Gate> {
-        Arc::new(Gate {
-            flags: AtomicU8::new(0),
-            thread: OnceLock::new(),
-        })
-    }
-
-    /// Grant execution to the gated task (with `abort` set, it unwinds).
-    /// Must be called after the gate's thread handle was registered.
-    fn open(&self, abort: bool) {
-        let bits = GATE_OPEN | if abort { GATE_ABORT } else { 0 };
-        self.flags.fetch_or(bits, Ordering::Release);
-        if let Some(t) = self.thread.get() {
-            t.unpark();
-        }
-    }
-
-    /// Blocks the OS thread until the kernel grants execution. Returns
-    /// `true` if the simulation is aborting and the thread must unwind.
-    /// Robust against spurious `park` returns and stale unpark tokens: the
-    /// flag word, not the token, carries the grant.
-    fn wait(&self) -> bool {
-        loop {
-            let f = self.flags.swap(0, Ordering::Acquire);
-            if f & GATE_OPEN != 0 {
-                return f & GATE_ABORT != 0;
-            }
-            std::thread::park();
-        }
-    }
-}
+/// A task's closure, boxed until its first dispatch starts it.
+type Entry = Box<dyn FnOnce(&SimCtx) + Send>;
 
 struct Slot {
     name: String,
-    gate: Arc<Gate>,
     state: TaskState,
     /// A pending unpark delivered while the task was not blocked; consumed
     /// by the next `park`.
     permit: bool,
-}
-
-/// A dispatch decision handed out of the scheduler: open this gate (with
-/// the abort flag) *after* releasing the state lock, so the woken thread
-/// does not immediately contend on it.
-struct Grant {
-    gate: Arc<Gate>,
-    abort: bool,
+    /// The closure, until the task's first dispatch.
+    entry: Option<Entry>,
+    /// Where to resume the task while it is not running.
+    context: Option<Coroutine>,
 }
 
 struct State {
@@ -228,6 +188,17 @@ struct State {
     /// When present, every dispatch decision (including inline
     /// self-continuations) is appended here.
     trace: Option<Vec<Dispatch>>,
+    /// The context of the thread inside [`Simulation::run`], while a task
+    /// runs.
+    root: Option<Coroutine>,
+    /// Who made the latest suspending switch (`None`: the run thread); the
+    /// resumed side files the context it receives under this owner.
+    switched_from: Option<usize>,
+    /// Stacks free for the next task that starts.
+    pool: Vec<Stack>,
+    /// Stacks mapped over the simulation's life.
+    #[cfg(test)]
+    mapped: usize,
     /// Reference mode: heap-only queue, no self-continuation fast path —
     /// the original scheduler structure, kept as the equivalence oracle.
     #[cfg(any(test, feature = "ref-kernel"))]
@@ -284,13 +255,91 @@ impl State {
             });
         }
     }
+
+    fn push_event(&mut self, time: SimTime, task: usize) {
+        let seq = self.seq;
+        self.seq += 1;
+        if !self.is_reference() && time == self.now {
+            self.near.push(Event { time, seq, task });
+        } else {
+            debug_assert!(self.is_reference() || time > self.now);
+            self.far.push(Event { time, seq, task });
+        }
+    }
+
+    /// Picks the next runnable task and marks it Running. Must be called
+    /// by a task that is itself no longer `Running`, or by the run thread.
+    /// `None` means every task has finished: the run thread resumes.
+    fn dispatch(&mut self) -> Option<usize> {
+        loop {
+            match self.pop_min() {
+                Some(ev) => {
+                    let slot = &mut self.slots[ev.task];
+                    if slot.state == TaskState::Runnable {
+                        debug_assert!(ev.time >= self.now, "time went backwards");
+                        self.now = ev.time;
+                        slot.state = TaskState::Running;
+                        self.record(ev.time, ev.seq, ev.task);
+                        return Some(ev.task);
+                    }
+                    // A stale event (task was already woken by a newer
+                    // one, or finished): skip it.
+                }
+                None if self.live == 0 => {
+                    self.done = true;
+                    return None;
+                }
+                None => {
+                    // Live tasks but nothing runnable: deadlock.
+                    if self.failure.is_none() {
+                        let blocked: Vec<&str> = self
+                            .slots
+                            .iter()
+                            .filter(|s| s.state == TaskState::Blocked)
+                            .map(|s| s.name.as_str())
+                            .collect();
+                        self.failure = Some(format!(
+                            "simulation deadlock at {}: {} task(s) blocked with no pending \
+                             events: {blocked:?}",
+                            self.now, self.live
+                        ));
+                    }
+                    assert!(
+                        self.abort_all() > 0,
+                        "kernel invariant broken: live tasks, none blocked, none queued"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Queue every blocked task at the current instant so it is resumed
+    /// with the abort flag and unwinds. Returns how many were queued.
+    fn abort_all(&mut self) -> usize {
+        let mut woken = 0;
+        for tid in 0..self.slots.len() {
+            if self.slots[tid].state == TaskState::Blocked {
+                self.slots[tid].state = TaskState::Runnable;
+                self.push_event(self.now, tid);
+                woken += 1;
+            }
+        }
+        woken
+    }
+
+    /// File what a switch handed over: a suspended context under the
+    /// owner that made the switch, a finished task's stack in the pool.
+    fn resumed(&mut self, left: Left) {
+        match (left, self.switched_from) {
+            (Left::Suspended(from), None) => self.root = Some(from),
+            (Left::Suspended(from), Some(tid)) => self.slots[tid].context = Some(from),
+            (Left::Finished(stack), _) => self.pool.push(stack),
+        }
+    }
 }
 
 pub(crate) struct Kernel {
     state: Mutex<State>,
-    /// Signalled when the simulation completes or fails. (Cold path only;
-    /// per-task wakes use the futex-style [`Gate`].)
-    finished_cv: Condvar,
 }
 
 /// Sentinel panic payload used to unwind simulated threads when the
@@ -315,90 +364,59 @@ impl Kernel {
                 failure: None,
                 done: false,
                 trace: None,
+                root: None,
+                switched_from: None,
+                pool: Vec::new(),
+                #[cfg(test)]
+                mapped: 0,
                 #[cfg(any(test, feature = "ref-kernel"))]
                 reference,
             }),
-            finished_cv: Condvar::new(),
         })
     }
 
-    fn push_event(state: &mut State, time: SimTime, task: usize) {
-        let seq = state.seq;
-        state.seq += 1;
-        if !state.is_reference() && time == state.now {
-            state.near.push(Event { time, seq, task });
-        } else {
-            debug_assert!(state.is_reference() || time > state.now);
-            state.far.push(Event { time, seq, task });
+    /// The context to switch to for `next` (`None`: the run thread). A
+    /// task's first dispatch gives it a stack, pooled or fresh, and a
+    /// coroutine that runs its closure.
+    fn context_of(kernel: &Arc<Kernel>, st: &mut State, next: Option<usize>) -> Coroutine {
+        let Some(tid) = next else {
+            return st.root.take().expect("the run thread's context is saved");
+        };
+        if let Some(context) = st.slots[tid].context.take() {
+            return context;
         }
+        let stack = st.pool.pop().unwrap_or_else(|| {
+            #[cfg(test)]
+            {
+                st.mapped += 1;
+            }
+            Stack::new()
+        });
+        let entry = st.slots[tid].entry.take().expect("a task starts once");
+        let kernel = Arc::clone(kernel);
+        coroutine::start(stack, move |left| run_task(kernel, tid, entry, left))
     }
 
-    /// Picks the next runnable task and marks it Running. Must be called
-    /// with the state lock held, by a thread that is itself no longer
-    /// `Running`. The returned grant's gate must be opened by the caller
-    /// *after* releasing the lock.
-    #[must_use]
-    fn dispatch(&self, state: &mut State) -> Option<Grant> {
-        loop {
-            match state.pop_min() {
-                Some(ev) => {
-                    let slot = &mut state.slots[ev.task];
-                    match slot.state {
-                        TaskState::Runnable => {
-                            debug_assert!(ev.time >= state.now, "time went backwards");
-                            state.now = ev.time;
-                            slot.state = TaskState::Running;
-                            let gate = Arc::clone(&slot.gate);
-                            state.record(ev.time, ev.seq, ev.task);
-                            let abort = state.failure.is_some();
-                            return Some(Grant { gate, abort });
-                        }
-                        // A stale event (task was already woken by a newer
-                        // one, or finished): skip it.
-                        _ => continue,
-                    }
-                }
-                None => {
-                    if state.live == 0 {
-                        state.done = true;
-                        self.finished_cv.notify_all();
-                    } else if state.failure.is_none() {
-                        // Live tasks but nothing runnable: deadlock.
-                        let blocked: Vec<&str> = state
-                            .slots
-                            .iter()
-                            .filter(|s| s.state == TaskState::Blocked)
-                            .map(|s| s.name.as_str())
-                            .collect();
-                        state.failure = Some(format!(
-                            "simulation deadlock at {}: {} task(s) blocked with no pending \
-                             events: {blocked:?}",
-                            state.now, state.live
-                        ));
-                        self.abort_all(state);
-                    } else {
-                        self.abort_all(state);
-                    }
-                    return None;
-                }
-            }
+    /// Hand the run token from `me` to `next` (`None`: the run thread)
+    /// and return, re-locked, once `me` runs again. A winner of its own
+    /// dispatch keeps running without a switch. The lock is released
+    /// across the switch: the resumed side takes it first.
+    fn hand_off<'k>(
+        kernel: &'k Arc<Kernel>,
+        mut st: MutexGuard<'k, State>,
+        me: Option<usize>,
+        next: Option<usize>,
+    ) -> MutexGuard<'k, State> {
+        if next == me {
+            return st;
         }
-    }
-
-    /// Wake every blocked task with the abort flag so the simulation can
-    /// unwind after a failure. (Cold path: gates are opened under the lock;
-    /// the woken threads serialize on `finish_task` anyway.)
-    fn abort_all(&self, state: &mut State) {
-        for slot in &mut state.slots {
-            if slot.state == TaskState::Blocked {
-                slot.state = TaskState::Runnable;
-                slot.gate.open(true);
-            }
-        }
-        if state.live == 0 {
-            state.done = true;
-            self.finished_cv.notify_all();
-        }
+        let to = Self::context_of(kernel, &mut st, next);
+        st.switched_from = me;
+        drop(st);
+        let left = coroutine::switch(to);
+        let mut st = kernel.state.lock();
+        st.resumed(left);
+        st
     }
 
     /// Charge `d` of virtual time to task `tid`.
@@ -406,15 +424,15 @@ impl Kernel {
     /// Fast path: if the task's wake event would precede everything queued
     /// — `(wake, tid)` strictly below the minimum `(time, task)` — then
     /// pushing it and dispatching would hand control straight back to this
-    /// same thread. Skip the queue, the state transition, and the gate
-    /// round-trip entirely: allocate the seq, bump the clock, keep running.
+    /// same task. Skip the queue and the state transition entirely:
+    /// allocate the seq, bump the clock, keep running.
     /// The recorded trace entry is identical to what the reference
     /// scheduler produces, because the reference would pop this very event
     /// next with the same `(time, seq)`.
-    fn advance(&self, tid: usize, d: SimDuration) {
+    fn advance(kernel: &Arc<Kernel>, tid: usize, d: SimDuration) {
         let wake;
         {
-            let mut st = self.state.lock();
+            let mut st = kernel.state.lock();
             debug_assert_eq!(st.slots[tid].state, TaskState::Running);
             wake = st.now + d;
             if !st.is_reference() && st.failure.is_none() {
@@ -434,31 +452,83 @@ impl Kernel {
                 }
             }
         }
-        self.yield_and_wait(tid, TaskState::Runnable, Some(wake));
+        Self::yield_and_wait(kernel, tid, TaskState::Runnable, Some(wake));
     }
 
     /// Yield point: transition `tid` out of Running, dispatch a successor,
-    /// then sleep until re-granted. Panics with [`SimAbort`] if the
+    /// and return once re-granted. Panics with [`SimAbort`] if the
     /// simulation is aborting.
-    fn yield_and_wait(&self, tid: usize, new_state: TaskState, wake_at: Option<SimTime>) {
-        let (gate, grant) = {
-            let mut st = self.state.lock();
-            debug_assert_eq!(st.slots[tid].state, TaskState::Running);
-            st.slots[tid].state = new_state;
-            if let Some(t) = wake_at {
-                Self::push_event(&mut st, t, tid);
-            }
-            let gate = Arc::clone(&st.slots[tid].gate);
-            let grant = self.dispatch(&mut st);
-            (gate, grant)
-        };
-        if let Some(g) = grant {
-            g.gate.open(g.abort);
+    fn yield_and_wait(
+        kernel: &Arc<Kernel>,
+        tid: usize,
+        new_state: TaskState,
+        wake_at: Option<SimTime>,
+    ) {
+        if std::thread::panicking() {
+            // The successor would run inside this task's unwind and
+            // inherit its panic count; there is no sound way to go on.
+            eprintln!("rsj-sim: a simulated thread reached a yield point while unwinding");
+            std::process::abort();
         }
-        if gate.wait() {
+        let mut st = kernel.state.lock();
+        debug_assert_eq!(st.slots[tid].state, TaskState::Running);
+        st.slots[tid].state = new_state;
+        if let Some(t) = wake_at {
+            st.push_event(t, tid);
+        }
+        let next = st.dispatch();
+        let st = Self::hand_off(kernel, st, Some(tid), next);
+        if st.failure.is_some() {
+            drop(st);
             panic::panic_any(SimAbort);
         }
     }
+}
+
+/// A task's coroutine body: run the closure under `catch_unwind` (or drop
+/// it unrun if the simulation is already aborting), record the outcome,
+/// and return the successor's context for the final switch, which hands
+/// the successor this task's stack.
+fn run_task(kernel: Arc<Kernel>, tid: usize, entry: Entry, left: Left) -> Coroutine {
+    let aborting = {
+        let mut st = kernel.state.lock();
+        st.resumed(left);
+        st.failure.is_some()
+    };
+    let ctx = SimCtx::new(Arc::clone(&kernel), tid);
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        if !aborting {
+            entry(&ctx);
+            // Commit any batched accrual left at exit so the final
+            // virtual time matches an unbatched run of the same work.
+            ctx.settle_point();
+        }
+    }));
+    drop(ctx);
+    let failure = match result {
+        Ok(()) => None,
+        // Induced unwind: the original failure is already recorded.
+        Err(payload) if payload.downcast_ref::<SimAbort>().is_some() => None,
+        Err(payload) => Some(
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
+        ),
+    };
+    let mut st = kernel.state.lock();
+    st.slots[tid].state = TaskState::Finished;
+    st.live -= 1;
+    if let Some(msg) = failure {
+        if st.failure.is_none() {
+            let name = st.slots[tid].name.clone();
+            st.failure = Some(format!("simulated thread '{name}' panicked: {msg}"));
+        }
+        st.abort_all();
+    }
+    let next = st.dispatch();
+    Kernel::context_of(&kernel, &mut st, next)
 }
 
 /// A handle to the kernel held by each simulated thread. All virtual-time
@@ -467,14 +537,13 @@ impl Kernel {
 /// # Locking discipline
 ///
 /// Simulated code may use real mutexes for shared state (they are never
-/// contended in real time — only one simulated thread runs at once), but a
-/// guard must **never** be held across a yield point ([`SimCtx::advance`],
-/// [`SimCtx::park`], or anything that calls them, such as a meter flush or
-/// a barrier). The kernel would dispatch another thread, which can then
-/// block on the held lock *outside* the kernel's knowledge: every OS
-/// thread ends up waiting on a futex and the deadlock detector never runs,
-/// because the kernel still believes the lock holder's successor is
-/// runnable. Scope guards tightly.
+/// contended — only one simulated thread runs at once, and all of them
+/// share one OS thread), but a guard must **never** be held across a
+/// yield point ([`SimCtx::advance`], [`SimCtx::park`], or anything that
+/// calls them, such as a meter flush or a barrier). The kernel would
+/// switch to another task, which can then try to take the held lock on
+/// the same OS thread: the thread blocks forever, outside the kernel's
+/// knowledge, and the deadlock detector never runs. Scope guards tightly.
 ///
 /// A `SimCtx` identifies *this* thread to the scheduler; it is deliberately
 /// not `Clone` — pass it by reference into helpers, and use
@@ -525,7 +594,7 @@ impl SimCtx {
     /// batched accrual is folded into the same single advance.
     pub fn advance(&self, d: SimDuration) {
         let total = d + SimDuration::from_nanos(self.pending.take());
-        self.kernel.advance(self.tid, total);
+        Kernel::advance(&self.kernel, self.tid, total);
     }
 
     /// Accrue `d` of virtual time *without* a scheduler dispatch: the time
@@ -568,7 +637,7 @@ impl SimCtx {
                      this one held the run token"
                 );
             }
-            self.kernel.advance(self.tid, SimDuration::from_nanos(p));
+            Kernel::advance(&self.kernel, self.tid, SimDuration::from_nanos(p));
         }
     }
 
@@ -619,8 +688,7 @@ impl SimCtx {
                 return;
             }
         }
-        self.kernel
-            .yield_and_wait(self.tid, TaskState::Blocked, None);
+        Kernel::yield_and_wait(&self.kernel, self.tid, TaskState::Blocked, None);
     }
 
     /// Make `target` runnable at the caller's current virtual time (its
@@ -642,7 +710,7 @@ impl SimCtx {
             TaskState::Blocked => {
                 slot.state = TaskState::Runnable;
                 let at = st.now + SimDuration::from_nanos(self.pending.get());
-                Kernel::push_event(&mut st, at, target.0);
+                st.push_event(at, target.0);
                 drop(st);
                 self.note_self_push();
             }
@@ -661,7 +729,7 @@ impl SimCtx {
         let id = spawn_task(
             &self.kernel,
             name.into(),
-            f,
+            Box::new(f),
             SimDuration::from_nanos(self.pending.get()),
         );
         self.note_self_push();
@@ -669,88 +737,21 @@ impl SimCtx {
     }
 }
 
-fn spawn_task<F>(kernel: &Arc<Kernel>, name: String, f: F, offset: SimDuration) -> TaskId
-where
-    F: FnOnce(&SimCtx) + Send + 'static,
-{
-    let gate = Gate::new();
-    let tid = {
-        let mut st = kernel.state.lock();
-        assert!(!st.done, "cannot spawn into a finished simulation");
-        let tid = st.slots.len();
-        st.slots.push(Slot {
-            name,
-            gate: Arc::clone(&gate),
-            state: TaskState::Runnable,
-            permit: false,
-        });
-        st.live += 1;
-        let at = st.now + offset;
-        Kernel::push_event(&mut st, at, tid);
-        tid
-    };
-
-    let kernel2 = Arc::clone(kernel);
-    let gate2 = Arc::clone(&gate);
-    let handle = std::thread::Builder::new()
-        .name(format!("sim-{tid}"))
-        .stack_size(512 * 1024)
-        .spawn(move || {
-            // Wait until first dispatched.
-            if gate2.wait() {
-                finish_task(&kernel2, tid, None);
-                return;
-            }
-            let ctx = SimCtx::new(Arc::clone(&kernel2), tid);
-            let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                f(&ctx);
-                // Commit any batched accrual left at exit so the final
-                // virtual time matches an unbatched run of the same work.
-                ctx.settle_point();
-            }));
-            let failure = match result {
-                Ok(()) => None,
-                Err(payload) => {
-                    if payload.downcast_ref::<SimAbort>().is_some() {
-                        None // induced unwind, original failure already recorded
-                    } else {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        Some(msg)
-                    }
-                }
-            };
-            finish_task(&kernel2, tid, failure);
-        })
-        .expect("failed to spawn OS thread for simulated task");
-    // Registered before the spawner reaches its next yield point, i.e.
-    // before any dispatch could try to open this gate.
-    gate.thread
-        .set(handle.thread().clone())
-        .expect("gate thread handle set twice");
+fn spawn_task(kernel: &Kernel, name: String, entry: Entry, offset: SimDuration) -> TaskId {
+    let mut st = kernel.state.lock();
+    assert!(!st.done, "cannot spawn into a finished simulation");
+    let tid = st.slots.len();
+    st.slots.push(Slot {
+        name,
+        state: TaskState::Runnable,
+        permit: false,
+        entry: Some(entry),
+        context: None,
+    });
+    st.live += 1;
+    let at = st.now + offset;
+    st.push_event(at, tid);
     TaskId(tid)
-}
-
-fn finish_task(kernel: &Arc<Kernel>, tid: usize, failure: Option<String>) {
-    let grant = {
-        let mut st = kernel.state.lock();
-        st.slots[tid].state = TaskState::Finished;
-        st.live -= 1;
-        if let Some(msg) = failure {
-            if st.failure.is_none() {
-                let name = st.slots[tid].name.clone();
-                st.failure = Some(format!("simulated thread '{name}' panicked: {msg}"));
-            }
-            kernel.abort_all(&mut st);
-        }
-        kernel.dispatch(&mut st)
-    };
-    if let Some(g) = grant {
-        g.gate.open(g.abort);
-    }
 }
 
 /// A complete simulation run: spawn root threads, then [`Simulation::run`]
@@ -807,11 +808,12 @@ impl Simulation {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_task(&self.kernel, name.into(), f, SimDuration::ZERO)
+        spawn_task(&self.kernel, name.into(), Box::new(f), SimDuration::ZERO)
     }
 
     /// Run the simulation until every simulated thread has finished.
-    /// Returns the final virtual time.
+    /// Every task runs on the calling OS thread. Returns the final virtual
+    /// time.
     ///
     /// # Panics
     /// Propagates the first panic raised inside any simulated thread, and
@@ -829,22 +831,10 @@ impl Simulation {
     }
 
     fn run_inner(self) -> (SimTime, Option<Vec<Dispatch>>) {
-        let grant = {
-            let mut st = self.kernel.state.lock();
-            if !st.done && st.live > 0 {
-                self.kernel.dispatch(&mut st)
-            } else {
-                st.done = true;
-                None
-            }
-        };
-        if let Some(g) = grant {
-            g.gate.open(g.abort);
-        }
         let mut st = self.kernel.state.lock();
-        while !st.done {
-            self.kernel.finished_cv.wait(&mut st);
-        }
+        let next = st.dispatch();
+        let mut st = Kernel::hand_off(&self.kernel, st, None, next);
+        debug_assert!(st.done && st.live == 0);
         if let Some(msg) = st.failure.take() {
             drop(st);
             panic!("{msg}");
@@ -1152,5 +1142,139 @@ mod tests {
         });
         sim.run();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
+    }
+    /// Counts its drops, to check each destructor runs exactly once.
+    struct Tally(Arc<AtomicUsize>);
+
+    impl Drop for Tally {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Run `sim` and return the message of the panic `run` re-raises.
+    fn run_failure(sim: Simulation) -> String {
+        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+            .expect_err("the run must re-raise the failure");
+        err.downcast_ref::<String>()
+            .cloned()
+            .expect("run panics with a String message")
+    }
+
+    #[test]
+    fn panic_message_reaches_run() {
+        let sim = Simulation::new();
+        sim.spawn("bystander", |ctx| ctx.advance(SimDuration::from_millis(5)));
+        sim.spawn("bomber", |ctx| {
+            ctx.advance(SimDuration::from_millis(1));
+            panic!("boom after {} ms", ctx.now().as_nanos() / 1_000_000);
+        });
+        assert_eq!(
+            run_failure(sim),
+            "simulated thread 'bomber' panicked: boom after 1 ms"
+        );
+    }
+
+    #[test]
+    fn backtrace_walk_ends_at_the_coroutine_entry() {
+        let captured = Arc::new(Mutex::new(String::new()));
+        let out = Arc::clone(&captured);
+        let sim = Simulation::new();
+        sim.spawn("tracer", move |ctx| {
+            ctx.advance(SimDuration::from_nanos(1));
+            *out.lock() = std::backtrace::Backtrace::force_capture().to_string();
+        });
+        sim.run();
+        let trace = captured.lock().clone();
+        // The walk passes the task's entry and stops at the trampoline, on
+        // the coroutine's own stack: no frame of the OS thread's stack
+        // (the test harness that called `run`) is below it.
+        let frames: Vec<&str> = trace
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.starts_with("at "))
+            .collect();
+        assert!(trace.contains("run_task"), "{trace}");
+        assert!(
+            frames
+                .last()
+                .is_some_and(|f| f.ends_with("coroutine::trampoline")),
+            "{trace}"
+        );
+        assert!(!trace.contains("run_inner"), "{trace}");
+    }
+
+    /// Three peers block (two parked, one sleeping past the panic and
+    /// then parked) while the simulation fails; each must unwind on its own stack and
+    /// drop what it owns exactly once.
+    fn peers_unwind_once(bomb: bool) -> String {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let sim = Simulation::new();
+        for i in 0..3u64 {
+            let captured = Tally(Arc::clone(&drops));
+            let drops = Arc::clone(&drops);
+            sim.spawn(format!("peer{i}"), move |ctx| {
+                let _captured = captured;
+                ctx.advance(SimDuration::from_nanos(i));
+                let _local = Tally(drops);
+                if i == 2 {
+                    ctx.advance(SimDuration::from_secs(1));
+                }
+                ctx.park();
+                unreachable!("an aborted peer resumed normally");
+            });
+        }
+        if bomb {
+            sim.spawn("bomber", |ctx| {
+                ctx.advance(SimDuration::from_millis(1));
+                panic!("boom");
+            });
+        }
+        let msg = run_failure(sim);
+        assert_eq!(drops.load(Ordering::SeqCst), 6, "{msg}");
+        msg
+    }
+
+    #[test]
+    fn blocked_peers_drop_once_after_a_panic() {
+        assert!(peers_unwind_once(true).contains("boom"));
+    }
+
+    #[test]
+    fn blocked_peers_drop_once_after_a_deadlock() {
+        let msg = peers_unwind_once(false);
+        assert!(msg.contains("deadlock"), "{msg}");
+        assert!(msg.contains("peer0") && msg.contains("peer1"), "{msg}");
+    }
+
+    #[test]
+    fn finished_tasks_stacks_are_reused() {
+        let sim = Simulation::new();
+        let kernel = Arc::clone(&sim.kernel);
+        sim.spawn("parent", |ctx| {
+            for i in 0..10_000 {
+                ctx.spawn(format!("child{i}"), |ctx| {
+                    ctx.advance(SimDuration::from_nanos(1));
+                });
+                ctx.advance(SimDuration::from_nanos(2));
+            }
+        });
+        sim.run();
+        // At most the parent and one child are ever live at once.
+        let st = kernel.state.lock();
+        assert_eq!(st.slots.len(), 10_001);
+        assert!(st.mapped <= 2, "{} stacks mapped", st.mapped);
+    }
+
+    #[test]
+    fn dropping_an_unrun_simulation_drops_its_closures() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let sim = Simulation::new();
+        for i in 0..3 {
+            let tally = Tally(Arc::clone(&drops));
+            sim.spawn(format!("idle{i}"), move |_| drop(tally));
+        }
+        drop(sim);
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
     }
 }

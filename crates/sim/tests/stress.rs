@@ -232,6 +232,32 @@ fn fast_path_dispatch_trace_equals_reference() {
     }
 }
 
+/// Two simulations running at the same time on two OS threads produce the
+/// traces they produce one after the other: each keeps its tasks on its
+/// own thread and shares no kernel state with the other. The parallel
+/// sweep engine (`experiments all --jobs N`) relies on this.
+#[cfg(feature = "ref-kernel")]
+#[test]
+fn concurrent_simulations_match_sequential_runs() {
+    let seeds = [7u64, 0xC0FF_EE00];
+    let sequential: Vec<_> = seeds
+        .iter()
+        .map(|&seed| traced_mixed_workload(false, seed))
+        .collect();
+    for _ in 0..3 {
+        let concurrent: Vec<_> = std::thread::scope(|scope| {
+            let runs: Vec<_> = seeds
+                .iter()
+                .map(|&seed| scope.spawn(move || traced_mixed_workload(false, seed)))
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().expect("a simulation thread panicked"))
+                .collect()
+        });
+        assert_eq!(concurrent, sequential);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
